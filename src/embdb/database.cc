@@ -1,8 +1,9 @@
 #include "embdb/database.h"
 
-#include "embdb/query_parser.h"
+#include <algorithm>
+#include <iterator>
 
-#include <set>
+#include "embdb/query_parser.h"
 
 namespace pds::embdb {
 
@@ -122,6 +123,29 @@ Status Database::ReorganizeIndex(const std::string& table_name,
   return Status::Ok();
 }
 
+Status Database::Select(
+    const std::string& table_name, const std::vector<Predicate>& predicates,
+    const std::function<Status(uint64_t, const Tuple&)>& emit) {
+  TableHeap* heap = table(table_name);
+  if (heap == nullptr) {
+    return Status::NotFound("table " + table_name);
+  }
+  const std::vector<Column>& columns = heap->schema().columns();
+  for (const Predicate& p : predicates) {
+    if (p.op != Predicate::Op::kEq || p.column < 0 ||
+        static_cast<size_t>(p.column) >= columns.size()) {
+      continue;
+    }
+    auto it = indexes_.find(
+        IndexKey(table_name, columns[static_cast<size_t>(p.column)].name));
+    if (it != indexes_.end()) {
+      return FetchIndexHits(heap, it->second, p.constant, predicates,
+                                emit);
+    }
+  }
+  return ScanFilter(heap, predicates, emit);
+}
+
 Status Database::SelectViaIndex(
     const std::string& table_name, const std::string& column,
     const Value& key,
@@ -134,28 +158,57 @@ Status Database::SelectViaIndex(
   if (it == indexes_.end()) {
     return Status::NotFound("no index on " + table_name + "." + column);
   }
-  IndexEntry& entry = it->second;
+  return FetchIndexHits(
+      heap, it->second, key,
+      {Predicate{it->second.column, Predicate::Op::kEq, key}}, emit);
+}
 
-  std::set<uint64_t> rowids;  // dedup across tree + delta
-  if (entry.tree != nullptr) {
+Status Database::FetchIndexHits(
+    TableHeap* heap, IndexEntry& entry, const Value& key,
+    const std::vector<Predicate>& predicates,
+    const std::function<Status(uint64_t, const Tuple&)>& emit) {
+  // Both lists ascend — tree leaves are sorted by (key, rowid), the delta
+  // log holds rowids in insertion order — so their union is a merge. The
+  // merged list is data-dependent and is charged while rows are fetched.
+  std::vector<uint64_t> rowids;
+  {
     std::vector<uint64_t> from_tree;
-    TreeIndex::LookupStats stats;
-    PDS_RETURN_IF_ERROR(entry.tree->Lookup(key, &from_tree, &stats));
-    rowids.insert(from_tree.begin(), from_tree.end());
+    if (entry.tree != nullptr) {
+      PDS_RETURN_IF_ERROR(entry.tree->Lookup(key, &from_tree, nullptr));
+    }
+    std::vector<uint64_t> from_delta;
+    KeyLogIndex::LookupStats stats;
+    PDS_RETURN_IF_ERROR(entry.delta->Lookup(key, &from_delta, &stats));
+    rowids.reserve(from_tree.size() + from_delta.size());
+    std::set_union(from_tree.begin(), from_tree.end(), from_delta.begin(),
+                   from_delta.end(), std::back_inserter(rowids));
   }
-  std::vector<uint64_t> from_delta;
-  KeyLogIndex::LookupStats stats;
-  PDS_RETURN_IF_ERROR(entry.delta->Lookup(key, &from_delta, &stats));
-  rowids.insert(from_delta.begin(), from_delta.end());
+  PDS_ASSIGN_OR_RETURN(
+      mcu::RamCharge charge,
+      mcu::RamCharge::Make(gauge_, rowids.size() * sizeof(uint64_t)));
 
   for (uint64_t rowid : rowids) {
     if (heap->IsDeleted(rowid)) {
       continue;  // stale index entry for a forgotten row
     }
     PDS_ASSIGN_OR_RETURN(Tuple tuple, heap->Get(rowid));
-    PDS_RETURN_IF_ERROR(emit(rowid, tuple));
+    bool pass = std::all_of(predicates.begin(), predicates.end(),
+                            [&](const Predicate& p) { return p.Eval(tuple); });
+    if (pass) {
+      PDS_RETURN_IF_ERROR(emit(rowid, tuple));
+    }
   }
   return Status::Ok();
+}
+
+Status Database::SelectScan(
+    const std::string& table_name, const std::vector<Predicate>& predicates,
+    const std::function<Status(uint64_t, const Tuple&)>& emit) {
+  TableHeap* heap = table(table_name);
+  if (heap == nullptr) {
+    return Status::NotFound("table " + table_name);
+  }
+  return ScanFilter(heap, predicates, emit);
 }
 
 Status Database::Query(const std::string& sql,
@@ -167,99 +220,36 @@ Status Database::Query(const std::string& sql,
   }
   PDS_ASSIGN_OR_RETURN(BoundQuery bound, Bind(parsed, heap->schema()));
 
+  if (!bound.has_aggregate) {
+    return Select(parsed.table, bound.predicates,
+                  [&](uint64_t, const Tuple& tuple) {
+                    return EmitProjected(tuple, bound.projection, emit);
+                  });
+  }
+
   // Aggregate queries fold the row stream into the streaming Aggregator
   // and emit one (group, value) row per group at the end.
-  if (bound.has_aggregate) {
-    auto numeric = [](const Value& v) -> double {
-      switch (v.type()) {
-        case ColumnType::kUint64:
-          return static_cast<double>(v.AsU64());
-        case ColumnType::kInt64:
-          return static_cast<double>(v.AsI64());
-        case ColumnType::kDouble:
-          return v.AsF64();
-        case ColumnType::kString:
-          return 0.0;
-      }
-      return 0.0;
-    };
-    Aggregator aggregator(bound.agg_func, gauge_);
-    PDS_RETURN_IF_ERROR(SelectScan(
-        parsed.table, bound.predicates,
-        [&](uint64_t, const Tuple& tuple) {
-          Value group = bound.group_column >= 0
-                            ? tuple[static_cast<size_t>(bound.group_column)]
-                            : Value::Str("*");
-          double v =
-              bound.agg_column >= 0
-                  ? numeric(tuple[static_cast<size_t>(bound.agg_column)])
-                  : 0.0;
-          return aggregator.Add(group, v);
-        }));
-    for (const Aggregator::GroupResult& g : aggregator.Finish()) {
-      Tuple row;
-      if (bound.group_column >= 0) {
-        row.push_back(g.group);
-      }
-      row.push_back(Value::F64(g.value));
-      PDS_RETURN_IF_ERROR(emit(row));
+  Aggregator aggregator(bound.agg_func, gauge_);
+  PDS_RETURN_IF_ERROR(Select(
+      parsed.table, bound.predicates, [&](uint64_t, const Tuple& tuple) {
+        Value group = bound.group_column >= 0
+                          ? tuple[static_cast<size_t>(bound.group_column)]
+                          : Value::Str("*");
+        double v = bound.agg_column >= 0
+                       ? tuple[static_cast<size_t>(bound.agg_column)]
+                             .ToDouble()
+                       : 0.0;
+        return aggregator.Add(group, v);
+      }));
+  for (const Aggregator::GroupResult& g : aggregator.Finish()) {
+    Tuple row;
+    if (bound.group_column >= 0) {
+      row.push_back(g.group);
     }
-    return Status::Ok();
+    row.push_back(Value::F64(g.value));
+    PDS_RETURN_IF_ERROR(emit(row));
   }
-
-  auto project_and_emit = [&](uint64_t rowid, const Tuple& tuple) {
-    (void)rowid;
-    if (bound.projection.empty()) {
-      return emit(tuple);
-    }
-    Tuple projected;
-    projected.reserve(bound.projection.size());
-    for (int idx : bound.projection) {
-      projected.push_back(tuple[static_cast<size_t>(idx)]);
-    }
-    return emit(projected);
-  };
-
-  // Planner-lite: pick the first equality predicate backed by an index.
-  for (size_t i = 0; i < bound.predicates.size(); ++i) {
-    const Predicate& p = bound.predicates[i];
-    if (p.op != Predicate::Op::kEq) {
-      continue;
-    }
-    const std::string& column_name =
-        heap->schema().columns()[static_cast<size_t>(p.column)].name;
-    if (indexes_.count(IndexKey(parsed.table, column_name)) == 0) {
-      continue;
-    }
-    std::vector<Predicate> residual;
-    for (size_t j = 0; j < bound.predicates.size(); ++j) {
-      if (j != i) {
-        residual.push_back(bound.predicates[j]);
-      }
-    }
-    return SelectViaIndex(
-        parsed.table, column_name, p.constant,
-        [&](uint64_t rowid, const Tuple& tuple) {
-          for (const Predicate& r : residual) {
-            if (!r.Eval(tuple)) {
-              return Status::Ok();
-            }
-          }
-          return project_and_emit(rowid, tuple);
-        });
-  }
-
-  return SelectScan(parsed.table, bound.predicates, project_and_emit);
-}
-
-Status Database::SelectScan(
-    const std::string& table_name, const std::vector<Predicate>& predicates,
-    const std::function<Status(uint64_t, const Tuple&)>& emit) {
-  TableHeap* heap = table(table_name);
-  if (heap == nullptr) {
-    return Status::NotFound("table " + table_name);
-  }
-  return ScanFilter(heap, predicates, emit);
+  return Status::Ok();
 }
 
 KeyLogIndex* Database::key_index(const std::string& table_name,

@@ -63,26 +63,37 @@ class Database {
                          const std::string& column,
                          size_t sort_ram_bytes = 16 * 1024);
 
-  /// Equality select through the index on (table, column): tree (if
-  /// reorganized) plus the delta key-log. Emits (rowid, tuple).
+  /// The one planned access path. The first equality predicate on an
+  /// indexed column is answered through that index (tree + delta); with no
+  /// such predicate the table is scanned (ScanFilter). Either way every
+  /// predicate is checked on every fetched tuple — index keys only hold a
+  /// prefix of long strings — so Select emits exactly the (rowid, tuple)
+  /// sequence of SelectScan, in ascending rowid order.
+  [[nodiscard]] Status Select(
+      const std::string& table_name,
+      const std::vector<Predicate>& predicates,
+      const std::function<Status(uint64_t, const Tuple&)>& emit);
+
+  /// Equality select forced through the index on (table, column): tree (if
+  /// reorganized) plus the delta key-log. NotFound without such an index.
+  /// Emits (rowid, tuple) with tuple[column] == key.
   [[nodiscard]] Status SelectViaIndex(
       const std::string& table_name, const std::string& column,
       const Value& key,
       const std::function<Status(uint64_t, const Tuple&)>& emit);
 
-  /// Textual query entry point for the embedded-SQL subset:
-  ///   SELECT cols|* FROM table [WHERE col op literal [AND ...]]
-  /// Planner-lite: an equality predicate on an indexed column routes
-  /// through the index (tree + delta) with residual predicates applied;
-  /// otherwise a scan-filter runs. Emits projected tuples.
-  [[nodiscard]] Status Query(const std::string& sql,
-               const std::function<Status(const Tuple&)>& emit);
-
-  /// Full-scan select with arbitrary predicates.
+  /// Full-scan select with arbitrary predicates: the no-index baseline.
   [[nodiscard]] Status SelectScan(
       const std::string& table_name,
       const std::vector<Predicate>& predicates,
       const std::function<Status(uint64_t, const Tuple&)>& emit);
+
+  /// Textual query entry point for the embedded-SQL subset:
+  ///   SELECT cols|* FROM table [WHERE col op literal [AND ...]]
+  /// (and the aggregate forms of query_parser.h), answered through Select.
+  /// Emits projected tuples.
+  [[nodiscard]] Status Query(const std::string& sql,
+               const std::function<Status(const Tuple&)>& emit);
 
   /// Direct access to the index structures (benchmarks, tests).
   KeyLogIndex* key_index(const std::string& table_name,
@@ -102,6 +113,13 @@ class Database {
   };
 
   [[nodiscard]] Result<std::unique_ptr<KeyLogIndex>> NewKeyLog(const IndexOptions& options);
+
+  /// Fetches the live rows `entry` lists under `key` and emits those that
+  /// satisfy every predicate, in ascending rowid order.
+  [[nodiscard]] Status FetchIndexHits(
+      TableHeap* heap, IndexEntry& entry, const Value& key,
+      const std::vector<Predicate>& predicates,
+      const std::function<Status(uint64_t, const Tuple&)>& emit);
 
   flash::PartitionAllocator allocator_;
   mcu::RamGauge* gauge_;

@@ -35,7 +35,11 @@ bool Predicate::Eval(const Tuple& tuple) const {
   if (column < 0 || static_cast<size_t>(column) >= tuple.size()) {
     return false;
   }
-  int cmp = Value::Compare(tuple[static_cast<size_t>(column)], constant);
+  return Matches(tuple[static_cast<size_t>(column)]);
+}
+
+bool Predicate::Matches(const Value& value) const {
+  int cmp = Value::Compare(value, constant);
   switch (op) {
     case Op::kEq:
       return cmp == 0;
@@ -55,20 +59,44 @@ bool Predicate::Eval(const Tuple& tuple) const {
 
 Status ScanFilter(TableHeap* table, const std::vector<Predicate>& predicates,
                   const std::function<Status(uint64_t, const Tuple&)>& emit) {
+  const std::vector<ColumnType>& types = table->column_types();
+  // Record offset of each predicate's column, or -1 where it must be
+  // checked on the decoded tuple.
+  std::vector<int> offsets(predicates.size());
+  for (size_t i = 0; i < predicates.size(); ++i) {
+    offsets[i] = FixedColumnOffset(types, predicates[i].column);
+  }
+
   TableHeap::Scanner scanner = table->NewScanner();
   uint64_t rowid = 0;
+  ByteView record;
+  Value field;
   Tuple tuple;
   while (!scanner.AtEnd()) {
-    Status next = scanner.Next(&rowid, &tuple);
+    Status next = scanner.NextRecord(&rowid, &record);
     if (next.code() == StatusCode::kOutOfRange) {
       break;  // only tombstoned rows remained
     }
     PDS_RETURN_IF_ERROR(next);
     bool pass = true;
-    for (const Predicate& p : predicates) {
-      if (!p.Eval(tuple)) {
-        pass = false;
-        break;
+    for (size_t i = 0; i < predicates.size() && pass; ++i) {
+      if (offsets[i] >= 0) {
+        const Predicate& p = predicates[i];
+        PDS_RETURN_IF_ERROR(DecodeFixedColumn(
+            types[static_cast<size_t>(p.column)], record,
+            static_cast<size_t>(offsets[i]), &field));
+        pass = p.Matches(field);
+      }
+    }
+    if (!pass) {
+      // A skipped row still fails the scan where decoding it would.
+      PDS_RETURN_IF_ERROR(ValidateRecord(types, record));
+      continue;
+    }
+    PDS_RETURN_IF_ERROR(DecodeTupleInto(types, record, &tuple));
+    for (size_t i = 0; i < predicates.size() && pass; ++i) {
+      if (offsets[i] < 0) {
+        pass = predicates[i].Eval(tuple);
       }
     }
     if (pass) {
@@ -76,6 +104,19 @@ Status ScanFilter(TableHeap* table, const std::vector<Predicate>& predicates,
     }
   }
   return Status::Ok();
+}
+
+Status EmitProjected(const Tuple& tuple, const std::vector<int>& columns,
+                     const std::function<Status(const Tuple&)>& emit) {
+  if (columns.empty()) {
+    return emit(tuple);
+  }
+  Tuple projected;
+  projected.reserve(columns.size());
+  for (int idx : columns) {
+    projected.push_back(tuple[static_cast<size_t>(idx)]);
+  }
+  return emit(projected);
 }
 
 std::vector<uint64_t> IntersectSorted(

@@ -24,12 +24,21 @@ struct Predicate {
   Value constant;
 
   bool Eval(const Tuple& tuple) const;
+  /// `value <op> constant`, for a value already read from `column`.
+  bool Matches(const Value& value) const;
 };
 
 /// Streams (rowid, tuple) pairs of `table` satisfying all `predicates`
-/// (full scan + filter: the no-index baseline of E1).
+/// (full scan + filter: the no-index baseline of E1). Predicates on numeric
+/// columns at a fixed record offset are checked on the encoded record, so
+/// only rows that pass them are decoded; page reads are those of the scan.
 [[nodiscard]] Status ScanFilter(TableHeap* table, const std::vector<Predicate>& predicates,
                   const std::function<Status(uint64_t, const Tuple&)>& emit);
+
+/// Emits `tuple` restricted to `columns`, in that order (all columns when
+/// `columns` is empty).
+[[nodiscard]] Status EmitProjected(const Tuple& tuple, const std::vector<int>& columns,
+                     const std::function<Status(const Tuple&)>& emit);
 
 /// Intersection of several ascending rowid lists (the pipeline "merge on
 /// sorted row ids" of the tutorial's execution plan).

@@ -55,24 +55,28 @@ Result<Tuple> TableHeap::Get(uint64_t rowid) {
   return DecodeTuple(types_, ByteView(record));
 }
 
-Status TableHeap::Scanner::Next(uint64_t* rowid, Tuple* tuple) {
+Status TableHeap::Scanner::NextRecord(uint64_t* rowid, ByteView* record) {
   // Skip tombstoned rows (the record log still streams them; the caller
   // never sees forgotten data).
   for (;;) {
     if (AtEnd()) {
       return Status::OutOfRange("end of table");
     }
-    Bytes record;
-    PDS_RETURN_IF_ERROR(reader_.Next(&record));
+    PDS_RETURN_IF_ERROR(reader_.Next(&record_));
     uint64_t current = next_rowid_++;
     if (heap_->deleted_.count(current) != 0) {
       continue;
     }
-    PDS_ASSIGN_OR_RETURN(*tuple,
-                         DecodeTuple(heap_->types_, ByteView(record)));
     *rowid = current;
+    *record = ByteView(record_);
     return Status::Ok();
   }
+}
+
+Status TableHeap::Scanner::Next(uint64_t* rowid, Tuple* tuple) {
+  ByteView record;
+  PDS_RETURN_IF_ERROR(NextRecord(rowid, &record));
+  return DecodeTupleInto(heap_->types_, record, tuple);
 }
 
 }  // namespace pds::embdb

@@ -38,6 +38,7 @@ class TableHeap {
         has_tombstone_log_(tombstone_partition.valid()) {}
 
   const Schema& schema() const { return schema_; }
+  const std::vector<ColumnType>& column_types() const { return types_; }
   /// Chip holding the table's data log; query profiling uses it to pin
   /// per-stage flash::Stats deltas to the executor's page accesses.
   flash::FlashChip* chip() const { return data_.chip(); }
@@ -56,21 +57,27 @@ class TableHeap {
   /// Random access by rowid.
   [[nodiscard]] Result<Tuple> Get(uint64_t rowid);
 
-  /// Streams all tuples in rowid order; full scan costs one read per data
-  /// page.
+  /// Streams all live rows in rowid order; full scan costs one read per
+  /// data page.
   class Scanner {
    public:
     explicit Scanner(TableHeap* heap)
         : heap_(heap), reader_(heap->data_.NewReader()) {}
 
     bool AtEnd() const { return next_rowid_ >= heap_->num_rows_; }
-    /// Fetches the next row. Returns OutOfRange at end.
+    /// Fetches the next row's encoded record (EncodeTuple layout) into a
+    /// buffer the scanner reuses: `record` is valid until the next call.
+    /// Returns OutOfRange at end.
+    [[nodiscard]] Status NextRecord(uint64_t* rowid, ByteView* record);
+    /// Fetches and decodes the next row into `tuple`, reusing its storage.
+    /// Returns OutOfRange at end.
     [[nodiscard]] Status Next(uint64_t* rowid, Tuple* tuple);
 
    private:
     TableHeap* heap_;
     logstore::RecordLog::Reader reader_;
     uint64_t next_rowid_ = 0;
+    Bytes record_;
   };
 
   Scanner NewScanner() { return Scanner(this); }

@@ -71,6 +71,37 @@ int Value::Compare(const Value& a, const Value& b) {
   return 0;
 }
 
+void Value::AssignNumeric(ColumnType type, uint64_t bits) {
+  type_ = type;
+  num_ = type == ColumnType::kDouble ? 0 : bits;
+  dbl_ = 0.0;
+  if (type == ColumnType::kDouble) {
+    std::memcpy(&dbl_, &bits, 8);
+  }
+  str_.clear();
+}
+
+void Value::AssignString(ByteView bytes) {
+  type_ = ColumnType::kString;
+  num_ = 0;
+  dbl_ = 0.0;
+  str_.assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+}
+
+double Value::ToDouble() const {
+  switch (type_) {
+    case ColumnType::kUint64:
+      return static_cast<double>(num_);
+    case ColumnType::kInt64:
+      return static_cast<double>(AsI64());
+    case ColumnType::kDouble:
+      return dbl_;
+    case ColumnType::kString:
+      return 0.0;
+  }
+  return 0.0;
+}
+
 std::string Value::ToString() const {
   switch (type_) {
     case ColumnType::kUint64:
@@ -106,8 +137,9 @@ void Value::EncodeKey(uint8_t out[kKeyWidth]) const {
     case ColumnType::kDouble: {
       // IEEE-754 total-order trick: flip all bits of negatives, flip the
       // sign bit of positives.
+      double d = dbl_ == 0.0 ? 0.0 : dbl_;  // -0.0 == +0.0
       uint64_t bits;
-      std::memcpy(&bits, &dbl_, 8);
+      std::memcpy(&bits, &d, 8);
       if (bits & 0x8000000000000000ULL) {
         bits = ~bits;
       } else {
@@ -149,51 +181,85 @@ void EncodeTuple(const std::vector<ColumnType>& types, const Tuple& tuple,
   }
 }
 
+namespace {
+
+Status Truncated(ColumnType type) {
+  return Status::Corruption("truncated tuple (" +
+                            std::string(ColumnTypeName(type)) + ")");
+}
+
+// Walks one encoded record column by column, handing `on_column` each
+// column's index and bytes (8 for a numeric, the payload for a string).
+// Corruption as soon as a column would run past the end of `in`.
+template <typename OnColumn>
+Status WalkRecord(const std::vector<ColumnType>& types, ByteView in,
+                  OnColumn&& on_column) {
+  size_t pos = 0;
+  for (size_t i = 0; i < types.size(); ++i) {
+    ByteView field;
+    if (types[i] == ColumnType::kString) {
+      if (!GetLengthPrefixed(in, &pos, &field)) {
+        return Truncated(types[i]);
+      }
+    } else {
+      if (pos + 8 > in.size()) {
+        return Truncated(types[i]);
+      }
+      field = in.subview(pos, 8);
+      pos += 8;
+    }
+    on_column(i, field);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 Result<Tuple> DecodeTuple(const std::vector<ColumnType>& types, ByteView in) {
   Tuple tuple;
-  tuple.reserve(types.size());
-  size_t pos = 0;
-  for (ColumnType type : types) {
-    switch (type) {
-      case ColumnType::kUint64: {
-        if (pos + 8 > in.size()) {
-          return Status::Corruption("truncated tuple (u64)");
-        }
-        tuple.push_back(Value::U64(GetU64(in.data() + pos)));
-        pos += 8;
-        break;
-      }
-      case ColumnType::kInt64: {
-        if (pos + 8 > in.size()) {
-          return Status::Corruption("truncated tuple (i64)");
-        }
-        tuple.push_back(
-            Value::I64(static_cast<int64_t>(GetU64(in.data() + pos))));
-        pos += 8;
-        break;
-      }
-      case ColumnType::kDouble: {
-        if (pos + 8 > in.size()) {
-          return Status::Corruption("truncated tuple (f64)");
-        }
-        uint64_t bits = GetU64(in.data() + pos);
-        double d;
-        std::memcpy(&d, &bits, 8);
-        tuple.push_back(Value::F64(d));
-        pos += 8;
-        break;
-      }
-      case ColumnType::kString: {
-        ByteView s;
-        if (!GetLengthPrefixed(in, &pos, &s)) {
-          return Status::Corruption("truncated tuple (string)");
-        }
-        tuple.push_back(Value::Str(s.ToString()));
-        break;
-      }
+  PDS_RETURN_IF_ERROR(DecodeTupleInto(types, in, &tuple));
+  return tuple;
+}
+
+Status DecodeTupleInto(const std::vector<ColumnType>& types, ByteView in,
+                       Tuple* tuple) {
+  tuple->resize(types.size());
+  return WalkRecord(types, in, [&](size_t i, ByteView field) {
+    Value& v = (*tuple)[i];
+    if (types[i] == ColumnType::kString) {
+      v.AssignString(field);
+    } else {
+      v.AssignNumeric(types[i], GetU64(field.data()));
+    }
+  });
+}
+
+Status ValidateRecord(const std::vector<ColumnType>& types, ByteView in) {
+  return WalkRecord(types, in, [](size_t, ByteView) {});
+}
+
+int FixedColumnOffset(const std::vector<ColumnType>& types, int column) {
+  if (column < 0 || static_cast<size_t>(column) >= types.size()) {
+    return -1;
+  }
+  for (int i = 0; i <= column; ++i) {
+    if (types[static_cast<size_t>(i)] == ColumnType::kString) {
+      return -1;
     }
   }
-  return tuple;
+  return 8 * column;
+}
+
+Status DecodeFixedColumn(ColumnType type, ByteView record, size_t offset,
+                         Value* out) {
+  if (type == ColumnType::kString) {
+    return Status::InvalidArgument("strings have no fixed offset");
+  }
+  if (offset > record.size() || record.size() - offset < 8) {
+    return Truncated(type);
+  }
+  out->AssignNumeric(type, GetU64(record.data() + offset));
+  return Status::Ok();
 }
 
 }  // namespace pds::embdb

@@ -9,6 +9,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -21,9 +22,10 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
+// Rounded up, so a deadline less than 1 ms away still waits for it.
 [[nodiscard]] int64_t MillisLeft(SteadyClock::time_point deadline) {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             deadline - SteadyClock::now())
+  return std::chrono::ceil<std::chrono::milliseconds>(deadline -
+                                                      SteadyClock::now())
       .count();
 }
 
@@ -220,10 +222,9 @@ Result<Bytes> SocketTransport::Recv(uint32_t deadline_ms) {
         return frame;
       }
     }
-    int64_t left = MillisLeft(deadline);
-    if (left <= 0) {
-      return Status::DeadlineExceeded("recv deadline exceeded");
-    }
+    // Past the deadline the socket is still polled once with a zero
+    // timeout, so Recv(0) returns a frame the kernel already holds.
+    int64_t left = std::max<int64_t>(MillisLeft(deadline), 0);
     pollfd pfd{fd_, POLLIN, 0};
     int rc = poll(&pfd, 1, static_cast<int>(left));
     if (rc < 0 && errno == EINTR) {

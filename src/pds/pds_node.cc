@@ -80,34 +80,9 @@ Status PdsNode::QueryAs(
     proj.push_back(idx);
   }
 
-  return db_->SelectScan(table, all,
-                         [&](uint64_t rowid, const embdb::Tuple& tuple) {
-                           (void)rowid;
-                           if (proj.empty()) {
-                             return emit(tuple);
-                           }
-                           embdb::Tuple projected;
-                           projected.reserve(proj.size());
-                           for (int idx : proj) {
-                             projected.push_back(
-                                 tuple[static_cast<size_t>(idx)]);
-                           }
-                           return emit(projected);
-                         });
-}
-
-double PdsNode::NumericValue(const embdb::Value& v) {
-  switch (v.type()) {
-    case embdb::ColumnType::kUint64:
-      return static_cast<double>(v.AsU64());
-    case embdb::ColumnType::kInt64:
-      return static_cast<double>(v.AsI64());
-    case embdb::ColumnType::kDouble:
-      return v.AsF64();
-    case embdb::ColumnType::kString:
-      return 0.0;
-  }
-  return 0.0;
+  return db_->Select(table, all, [&](uint64_t, const embdb::Tuple& tuple) {
+    return embdb::EmitProjected(tuple, proj, emit);
+  });
 }
 
 Status PdsNode::ExportAs(const ac::Subject& subject, const std::string& table,
@@ -132,11 +107,11 @@ Status PdsNode::ExportAs(const ac::Subject& subject, const std::string& table,
   }
 
   out->clear();
-  return db_->SelectScan(
+  return db_->Select(
       table, decision.mandatory_filters,
       [&](uint64_t, const embdb::Tuple& tuple) {
         out->emplace_back(tuple[static_cast<size_t>(gcol)].ToString(),
-                          NumericValue(tuple[static_cast<size_t>(vcol)]));
+                          tuple[static_cast<size_t>(vcol)].ToDouble());
         return Status::Ok();
       });
 }

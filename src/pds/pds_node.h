@@ -56,6 +56,9 @@ class PdsNode {
 
   /// Policy-checked select: projects `columns` (empty = all) of rows
   /// matching `predicates`, conjoined with the policy's mandatory filters.
+  /// The conjunction is one planned query (Database::Select): an equality
+  /// on an indexed column, the caller's or a mandatory filter's, goes
+  /// through the index.
   Status QueryAs(const ac::Subject& subject, const std::string& table,
                  const std::vector<embdb::Predicate>& predicates,
                  const std::vector<std::string>& columns,
@@ -76,7 +79,6 @@ class PdsNode {
 
  private:
   Status Audit(const ac::AuditEntry& entry);
-  static double NumericValue(const embdb::Value& v);
 
   std::unique_ptr<flash::FlashChip> chip_;
   std::unique_ptr<mcu::SecureToken> token_;

@@ -97,6 +97,19 @@ TEST(ValueKeyTest, LongStringsTruncateToPrefix) {
   EXPECT_EQ(std::memcmp(k1, k2, Value::kKeyWidth), 0);
 }
 
+TEST(ValueKeyTest, SignedZerosShareOneKey) {
+  // Compare holds -0.0 == +0.0, so an index lookup for either must find
+  // rows holding the other.
+  ASSERT_EQ(Value::Compare(Value::F64(-0.0), Value::F64(0.0)), 0);
+  uint8_t neg[Value::kKeyWidth], pos[Value::kKeyWidth];
+  Value::F64(-0.0).EncodeKey(neg);
+  Value::F64(0.0).EncodeKey(pos);
+  EXPECT_EQ(std::memcmp(neg, pos, Value::kKeyWidth), 0);
+  uint8_t below[Value::kKeyWidth];
+  Value::F64(-1e-300).EncodeKey(below);
+  EXPECT_LT(std::memcmp(below, pos, Value::kKeyWidth), 0);
+}
+
 TEST(TupleCodecTest, RoundTripAllTypes) {
   std::vector<ColumnType> types = {ColumnType::kUint64, ColumnType::kInt64,
                                    ColumnType::kDouble, ColumnType::kString};

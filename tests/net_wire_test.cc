@@ -92,6 +92,23 @@ TEST(NetTransportTest, UnixPairReassemblesFrames) {
   EXPECT_EQ(b->bytes_received(), big_frame.size() + small_frame.size());
 }
 
+TEST(NetTransportTest, SocketShortDeadlineReadsBufferedFrame) {
+  // A whole frame already in the socket is returned even when the deadline
+  // is under one millisecond; only an empty socket times out.
+  auto pair = SocketTransport::CreateUnixPair();
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  auto& [a, b] = *pair;
+  Bytes frame = EncodeBye();
+  for (uint32_t deadline_ms : {0u, 1u}) {
+    ASSERT_TRUE(a->Send(frame).ok());
+    auto got = b->Recv(deadline_ms);
+    ASSERT_TRUE(got.ok()) << "Recv(" << deadline_ms
+                          << "): " << got.status().ToString();
+    EXPECT_EQ(ByteView(*got), ByteView(frame));
+  }
+  EXPECT_EQ(b->Recv(0).status().code(), StatusCode::kDeadlineExceeded);
+}
+
 TEST(NetTransportTest, SocketRejectsGarbageHeader) {
   auto pair = SocketTransport::CreateUnixPair();
   ASSERT_TRUE(pair.ok());

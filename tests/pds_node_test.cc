@@ -120,6 +120,81 @@ class PdsNodeTest : public ::testing::Test {
   std::unique_ptr<PdsNode> node_;
 };
 
+TEST(PdsNodeIndexTest, MandatoryFilterOnIndexedLongStringAdmitsNoPrefixTwin) {
+  // The nurse's mandatory filter names one ward; another ward shares its
+  // first Value::kKeyWidth (24) bytes, so both share one index key. The
+  // filter is answered through the index and still admits no twin row.
+  PdsNode::Config cfg;
+  cfg.node_id = 2;
+  cfg.fleet_key = crypto::KeyFromString("fleet");
+  cfg.flash_geometry.page_size = 512;
+  cfg.flash_geometry.pages_per_block = 8;
+  cfg.flash_geometry.block_count = 512;
+  PdsNode node(cfg);
+  Schema stays("stays", {{"id", ColumnType::kUint64, ""},
+                         {"ward", ColumnType::kString, ""},
+                         {"cost", ColumnType::kDouble, ""}});
+  embdb::Database::TableOptions topts;
+  topts.data_blocks = 64;
+  topts.directory_blocks = 16;
+  ASSERT_TRUE(node.DefineTable(stays, topts).ok());
+  ASSERT_TRUE(node.db().CreateKeyIndex("stays", "ward", {}).ok());
+
+  const std::string prefix(Value::kKeyWidth, 'w');
+  const std::string cardiology = prefix + "-cardiology";
+  const std::string oncology = prefix + "-oncology";
+  Predicate in_cardiology{1, Predicate::Op::kEq, Value::Str(cardiology)};
+  auto& p = node.policies();
+  p.AddRule({"nurse", Action::kRead, "stays", {}, in_cardiology});
+  p.AddRule({"analyst", Action::kShare, "stays", {"ward", "cost"},
+             in_cardiology});
+
+  std::vector<uint64_t> want;
+  for (uint64_t i = 0; i < 1000; ++i) {
+    std::string ward = i % 100 == 7    ? cardiology
+                       : i % 100 == 8 ? oncology
+                                      : "ward-" + std::to_string(i % 50);
+    if (ward == cardiology) {
+      want.push_back(i);
+    }
+    ASSERT_TRUE(node.db()
+                    .Insert("stays", {Value::U64(i), Value::Str(ward),
+                                      Value::F64(static_cast<double>(i))})
+                    .ok());
+  }
+
+  node.chip().ResetStats();
+  std::vector<uint64_t> got;
+  ASSERT_TRUE(node.QueryAs({"nurse", "n"}, "stays", {}, {},
+                           [&](const Tuple& t) {
+                             EXPECT_EQ(t[1].AsStr(), cardiology);
+                             got.push_back(t[0].AsU64());
+                             return Status::Ok();
+                           })
+                  .ok());
+  uint64_t indexed_reads = node.chip().stats().page_reads;
+  EXPECT_EQ(got, want);
+
+  node.chip().ResetStats();
+  ASSERT_TRUE(node.db()
+                  .SelectScan("stays", {in_cardiology},
+                              [](uint64_t, const Tuple&) {
+                                return Status::Ok();
+                              })
+                  .ok());
+  EXPECT_LT(indexed_reads, node.chip().stats().page_reads);
+
+  std::vector<std::pair<std::string, double>> exported;
+  ASSERT_TRUE(
+      node.ExportAs({"analyst", "a"}, "stays", "ward", "cost", &exported)
+          .ok());
+  ASSERT_EQ(exported.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(exported[i].first, cardiology);
+    EXPECT_EQ(exported[i].second, static_cast<double>(want[i]));
+  }
+}
+
 TEST_F(PdsNodeTest, OwnerInsertAllowedGuestDenied) {
   EXPECT_TRUE(InsertRecord(1, "medical", "flu", 40).ok());
   auto denied = node_->InsertAs({"guest", "g"}, "records",

@@ -216,6 +216,55 @@ TEST_F(DatabaseQueryTest, ResidualPredicatesApplied) {
   EXPECT_EQ(n, expected);
 }
 
+TEST_F(DatabaseQueryTest, IndexRoutedEqualityRechecksLongStrings) {
+  // Index keys keep only the first Value::kKeyWidth (24) bytes of a string,
+  // so the index lists both rows below under either name; the routed
+  // equality itself must still be checked on every fetched tuple.
+  const std::string prefix(Value::kKeyWidth, 'a');
+  ASSERT_TRUE(db_.Insert("people", {Value::U64(5000),
+                                    Value::Str(prefix + "-alice"),
+                                    Value::I64(30), Value::F64(1.0)})
+                  .ok());
+  ASSERT_TRUE(db_.Insert("people", {Value::U64(5001),
+                                    Value::Str(prefix + "-bob"),
+                                    Value::I64(40), Value::F64(2.0)})
+                  .ok());
+  auto ids = [&](const std::string& sql) {
+    std::vector<uint64_t> out;
+    Status s = db_.Query(sql, [&](const Tuple& t) {
+      out.push_back(t[0].AsU64());
+      return Status::Ok();
+    });
+    EXPECT_TRUE(s.ok()) << sql << ": " << s.ToString();
+    return out;
+  };
+  auto count = [&](const std::string& sql) {
+    double n = -1;
+    Status s = db_.Query(sql, [&](const Tuple& t) {
+      n = t[0].AsF64();
+      return Status::Ok();
+    });
+    EXPECT_TRUE(s.ok()) << sql << ": " << s.ToString();
+    return n;
+  };
+  for (bool reorganized : {false, true}) {
+    SCOPED_TRACE(reorganized ? "tree + delta" : "key log");
+    EXPECT_EQ(ids("SELECT id FROM people WHERE city = '" + prefix +
+                  "-alice'"),
+              (std::vector<uint64_t>{5000}));
+    EXPECT_EQ(ids("SELECT id FROM people WHERE city = '" + prefix + "-bob'"),
+              (std::vector<uint64_t>{5001}));
+    EXPECT_EQ(count("SELECT COUNT(*) FROM people WHERE city = '" + prefix +
+                    "-bob'"),
+              1.0);
+    EXPECT_TRUE(ids("SELECT id FROM people WHERE city = '" + prefix + "'")
+                    .empty());
+    if (!reorganized) {
+      ASSERT_TRUE(db_.ReorganizeIndex("people", "city").ok());
+    }
+  }
+}
+
 TEST_F(DatabaseQueryTest, ProjectionShapes) {
   ASSERT_TRUE(db_.Query("SELECT city, id FROM people WHERE id = 7",
                         [&](const Tuple& t) {
