@@ -1,94 +1,16 @@
 #include "global/agg_protocols.h"
 
-#include <cstring>
 #include <functional>
-#include <set>
 
-#include "common/hash.h"
+#include "global/agg_steps.h"
 #include "obs/obs.h"
 
 namespace pds::global {
 
-namespace {
-
-// The per-tuple payload layout ([u8 fake][f64 sum][u64 count][group]) is
-// shared with the wire runtime: EncodeAggPayload/DecodeAggPayload in
-// global/common.h.
-
-/// Sum/count accumulation per group.
-struct GroupState {
-  double sum = 0;
-  uint64_t count = 0;
-};
-
-std::map<std::string, double> Finalize(
-    const std::map<std::string, GroupState>& states, AggFunc func) {
-  std::map<std::string, double> out;
-  for (const auto& [group, s] : states) {
-    if (s.count == 0) {
-      continue;  // only fake contributions
-    }
-    switch (func) {
-      case AggFunc::kSum:
-        out[group] = s.sum;
-        break;
-      case AggFunc::kCount:
-        out[group] = static_cast<double>(s.count);
-        break;
-      case AggFunc::kAvg:
-        out[group] = s.sum / static_cast<double>(s.count);
-        break;
-    }
-  }
-  return out;
-}
-
-/// Message/crypto-op counters accumulated inside one parallel work unit and
-/// merged into the run's Metrics in index order afterwards. All Metrics
-/// fields are sums, so per-unit accounting plus ordered merging reproduces
-/// the serial counters exactly.
-struct UnitCost {
-  uint64_t messages = 0;
-  uint64_t bytes = 0;
-  uint64_t token_ops = 0;
-  uint64_t bytes_token_to_ssi = 0;
-  uint64_t bytes_ssi_to_token = 0;
-
-  void AddMessage(uint64_t message_bytes) {
-    ++messages;
-    bytes += message_bytes;
-  }
-  void AddTokenToSsi(uint64_t message_bytes) {
-    AddMessage(message_bytes);
-    bytes_token_to_ssi += message_bytes;
-  }
-  void AddSsiToToken(uint64_t message_bytes) {
-    AddMessage(message_bytes);
-    bytes_ssi_to_token += message_bytes;
-  }
-  void MergeInto(Metrics* m) const {
-    m->messages += messages;
-    m->bytes += bytes;
-    m->token_crypto_ops += token_ops;
-    m->bytes_token_to_ssi += bytes_token_to_ssi;
-    m->bytes_ssi_to_token += bytes_ssi_to_token;
-  }
-};
-
-/// Distributes `num_units` round-robin over `num_tokens` starting at
-/// `first`: unit u goes to token (first + u) % num_tokens. One fleet-executor
-/// task per token then runs its units in increasing order, so each token's
-/// RNG and op counters advance exactly as in the serial round-robin loop.
-std::vector<std::vector<size_t>> RoundRobin(size_t num_units,
-                                            size_t num_tokens, size_t first) {
-  std::vector<std::vector<size_t>> by_token(num_tokens);
-  for (size_t u = 0; u < num_units; ++u) {
-    by_token[(first + u) % num_tokens].push_back(u);
-  }
-  return by_token;
-}
-
-}  // namespace
+// The token work of every round is a step in agg_steps.h, shared with the
+// wire token. What this file adds is the in-process transport: per-unit
+// Metrics for each ciphertext handed between token and SSI, merged in index
+// order.
 
 Result<AggOutput> SecureAggProtocol::Execute(
     std::vector<Participant>& participants, AggFunc func) {
@@ -106,27 +28,24 @@ Result<AggOutput> SecureAggProtocol::Execute(
   // gathering by participant index keeps `items` byte-identical to the
   // serial loop.
   std::vector<std::vector<Bytes>> enc(np);
-  std::vector<UnitCost> enc_cost(np);
+  std::vector<Metrics> enc_cost(np);
   {
     obs::Span phase_span("collect-encrypt", "protocol");
     PDS_RETURN_IF_ERROR(FleetExecutor::Run(
         config_.executor, np, [&](size_t i) -> Status {
-          Participant& p = participants[i];
-          enc[i].reserve(p.tuples.size());
-          for (const SourceTuple& t : p.tuples) {
-            Bytes payload = EncodeAggPayload(false, t.value, 1, t.group);
-            PDS_ASSIGN_OR_RETURN(Bytes ct,
-                                 p.token->EncryptNonDet(ByteView(payload)));
-            ++enc_cost[i].token_ops;
+          PDS_ASSIGN_OR_RETURN(
+              enc[i], EncryptTuples(participants[i].token,
+                                    participants[i].tuples,
+                                    &enc_cost[i].token_crypto_ops));
+          for (const Bytes& ct : enc[i]) {
             enc_cost[i].AddTokenToSsi(ct.size());
-            enc[i].push_back(std::move(ct));
           }
           return Status::Ok();
         }));
   }
   std::vector<Bytes> items;
   for (size_t i = 0; i < np; ++i) {
-    enc_cost[i].MergeInto(&out.metrics);
+    out.metrics.Merge(enc_cost[i]);
     for (Bytes& ct : enc[i]) {
       observer.ObserveTuple(ByteView(ct));
       items.push_back(std::move(ct));
@@ -151,36 +70,23 @@ Result<AggOutput> SecureAggProtocol::Execute(
 
     struct PartOut {
       std::vector<Bytes> cts;
-      UnitCost cost;
+      Metrics cost;
     };
     std::vector<PartOut> parts(num_parts);
     PDS_RETURN_IF_ERROR(FleetExecutor::Run(
         config_.executor, np, [&](size_t t) -> Status {
-          mcu::SecureToken* token = participants[t].token;
           for (size_t pi : parts_by_token[t]) {
             PartOut& po = parts[pi];
-            size_t start = pi * cap;
-            size_t end = std::min(items.size(), start + cap);
-            // Decrypted per-tuple plaintext folds into this map: it only
-            // ever leaves the token re-encrypted (EncryptNonDet below).
-            std::map<std::string, GroupState> partial;  // pdslint: secret
-            for (size_t i = start; i < end; ++i) {
-              po.cost.AddSsiToToken(items[i].size());
-              PDS_ASSIGN_OR_RETURN(Bytes payload,
-                                   token->DecryptNonDet(ByteView(items[i])));
-              ++po.cost.token_ops;
-              PDS_ASSIGN_OR_RETURN(AggPayload p, DecodeAggPayload(ByteView(payload)));
-              partial[p.group].sum += p.sum;
-              partial[p.group].count += p.count;
+            std::span<const Bytes> part = std::span<const Bytes>(items).subspan(
+                pi * cap, std::min(cap, items.size() - pi * cap));
+            for (const Bytes& ct : part) {
+              po.cost.AddSsiToToken(ct.size());
             }
-            for (const auto& [group, state] : partial) {
-              Bytes payload =
-                  EncodeAggPayload(false, state.sum, state.count, group);
-              PDS_ASSIGN_OR_RETURN(Bytes ct,
-                                   token->EncryptNonDet(ByteView(payload)));
-              ++po.cost.token_ops;
+            PDS_ASSIGN_OR_RETURN(
+                po.cts, AggregatePartition(participants[t].token, part,
+                                           &po.cost.token_crypto_ops));
+            for (const Bytes& ct : po.cts) {
               po.cost.AddTokenToSsi(ct.size());
-              po.cts.push_back(std::move(ct));
             }
           }
           return Status::Ok();
@@ -188,7 +94,7 @@ Result<AggOutput> SecureAggProtocol::Execute(
 
     std::vector<Bytes> next;
     for (size_t pi = 0; pi < num_parts; ++pi) {
-      parts[pi].cost.MergeInto(&out.metrics);
+      out.metrics.Merge(parts[pi].cost);
       for (Bytes& ct : parts[pi].cts) {
         observer.ObserveTuple(ByteView(ct));
         next.push_back(std::move(ct));
@@ -206,16 +112,12 @@ Result<AggOutput> SecureAggProtocol::Execute(
   // Phase 3: final aggregation inside one token.
   obs::Span final_span("final-decrypt", "protocol");
   final_span.AddArg("items", static_cast<double>(items.size()));
-  mcu::SecureToken* token = participants[0].token;
-  std::map<std::string, GroupState> final_state;
   for (const Bytes& ct : items) {
     out.metrics.AddSsiToToken(ct.size());
-    PDS_ASSIGN_OR_RETURN(Bytes payload, token->DecryptNonDet(ByteView(ct)));
-    ++out.metrics.token_crypto_ops;
-    PDS_ASSIGN_OR_RETURN(AggPayload p, DecodeAggPayload(ByteView(payload)));
-    final_state[p.group].sum += p.sum;
-    final_state[p.group].count += p.count;
   }
+  GroupStates final_state;
+  PDS_RETURN_IF_ERROR(DecryptFold(participants[0].token, items, &final_state,
+                                  &out.metrics.token_crypto_ops));
   ++out.metrics.rounds;
 
   out.groups = Finalize(final_state, func);
@@ -226,160 +128,95 @@ Result<AggOutput> SecureAggProtocol::Execute(
 
 namespace {
 
-/// Shared one-round evaluation used by the two noise-based protocols:
-/// tuples are (det-encrypted group, nondet-encrypted payload); the SSI
-/// groups by the deterministic ciphertext, and each class is aggregated
-/// inside one token.
+/// Shared one-round evaluation of the keyed protocols (white noise, domain
+/// noise, histogram): every token sends keyed tuples through its `collect`
+/// step, the SSI groups them by key, and each group is aggregated inside
+/// one token. Noise-protocol keys are deterministic group ciphertexts,
+/// aggregated by AggregateClass; histogram keys are plaintext bucket ids,
+/// and a bucket is decrypt-folded by its true groups.
 ///
-/// Fake-tuple generation runs in a serial pre-pass (the noise RNG is shared
-/// across participants); the token-side encrypt and decrypt work fans out
-/// over the executor with the same token assignment as the serial loops.
-Result<AggOutput> RunDetProtocol(
+/// Token-side work fans out over the executor with the same token
+/// assignment as the serial loops.
+Result<AggOutput> RunKeyedProtocol(
     const char* protocol_name, std::vector<Participant>& participants,
-    AggFunc func, FleetExecutor* exec,
-    const std::function<Status(Participant&, size_t,
-                               std::vector<std::pair<std::string, double>>*)>&
-        make_fakes) {
+    AggFunc func, FleetExecutor* exec, bool histogram,
+    const std::function<Result<std::vector<KeyedTuple>>(size_t, uint64_t*)>&
+        collect) {
   AggOutput out;
   HbcObserver observer;
   const size_t np = participants.size();
   obs::Span protocol_span(protocol_name, "protocol");
   protocol_span.AddArg("participants", static_cast<double>(np));
 
-  struct WireTuple {
-    Bytes group_ct;
-    Bytes payload_ct;
-  };
-
-  // Serial pre-pass: real tuples + protocol-specific fakes per participant.
-  struct SendList {
-    std::vector<std::pair<std::string, double>> tuples;
-    size_t real_count = 0;
-  };
-  std::vector<SendList> sends(np);
-  for (size_t pi = 0; pi < np; ++pi) {
-    Participant& p = participants[pi];
-    SendList& sl = sends[pi];
-    for (const SourceTuple& t : p.tuples) {
-      sl.tuples.emplace_back(t.group, t.value);
-    }
-    sl.real_count = sl.tuples.size();
-    std::vector<std::pair<std::string, double>> fakes;
-    PDS_RETURN_IF_ERROR(make_fakes(p, sl.real_count, &fakes));
-    for (auto& f : fakes) {
-      sl.tuples.push_back(std::move(f));
-    }
-  }
-
   // Parallel per-participant encryption (each token's RNG is its own).
-  struct WireOut {
-    std::vector<WireTuple> wire;
-    UnitCost cost;
-  };
-  std::vector<WireOut> wouts(np);
+  std::vector<std::vector<KeyedTuple>> sent(np);
+  std::vector<Metrics> sent_cost(np);
   {
     obs::Span phase_span("collect-encrypt", "protocol");
     PDS_RETURN_IF_ERROR(
         FleetExecutor::Run(exec, np, [&](size_t pi) -> Status {
-          Participant& p = participants[pi];
-          const SendList& sl = sends[pi];
-          WireOut& wo = wouts[pi];
-          wo.wire.reserve(sl.tuples.size());
-          for (size_t i = 0; i < sl.tuples.size(); ++i) {
-            bool fake = i >= sl.real_count;
-            const auto& [group, value] = sl.tuples[i];
-            WireTuple wt;
-            PDS_ASSIGN_OR_RETURN(
-                wt.group_ct,
-                p.token->EncryptDet(ByteView(std::string_view(group))));
-            Bytes payload = EncodeAggPayload(fake, value, fake ? 0 : 1, "");
-            PDS_ASSIGN_OR_RETURN(wt.payload_ct,
-                                 p.token->EncryptNonDet(ByteView(payload)));
-            wo.cost.token_ops += 2;
-            wo.cost.AddTokenToSsi(wt.group_ct.size() + wt.payload_ct.size());
-            wo.wire.push_back(std::move(wt));
+          PDS_ASSIGN_OR_RETURN(sent[pi],
+                               collect(pi, &sent_cost[pi].token_crypto_ops));
+          for (const KeyedTuple& kt : sent[pi]) {
+            sent_cost[pi].AddTokenToSsi(kt.key.size() + kt.payload_ct.size());
           }
           return Status::Ok();
         }));
   }
-  std::vector<WireTuple> wire;
-  for (size_t pi = 0; pi < np; ++pi) {
-    wouts[pi].cost.MergeInto(&out.metrics);
-    for (WireTuple& wt : wouts[pi].wire) {
-      observer.ObserveTuple(ByteView(wt.group_ct));
-      wire.push_back(std::move(wt));
-    }
-  }
-  ++out.metrics.rounds;
 
-  // SSI: group by deterministic ciphertext.
-  obs::Span mix_span("ssi-group-by-class", "protocol");
-  std::map<std::string, std::vector<const WireTuple*>> classes;
-  for (const WireTuple& wt : wire) {
-    classes[ByteView(wt.group_ct).ToString()].push_back(&wt);
-    ++out.metrics.ssi_ops;
+  for (size_t pi = 0; pi < np; ++pi) {
+    out.metrics.Merge(sent_cost[pi]);
   }
+  obs::Span mix_span("ssi-group-by-class", "protocol");
+  PDS_ASSIGN_OR_RETURN(
+      std::vector<KeyClass> classes,
+      GroupByKey(&sent, histogram, &observer, &out.metrics.ssi_ops));
+  ++out.metrics.rounds;
   mix_span.AddArg("classes", static_cast<double>(classes.size()));
 
   // Each class is handed to a token for decryption + aggregation; classes
   // sharing a token run inside one work unit. Decryption draws no token
   // randomness, but op counters still demand one thread per token.
-  std::vector<const std::vector<const WireTuple*>*> class_tuples;
-  class_tuples.reserve(classes.size());
-  for (const auto& [class_key, tuples] : classes) {
-    class_tuples.push_back(&tuples);
-  }
   std::vector<std::vector<size_t>> classes_by_token =
-      RoundRobin(class_tuples.size(), np, 0);
-
+      RoundRobin(classes.size(), np, 0);
   struct ClassOut {
-    bool fake = false;
-    std::string group;
-    GroupState gs;
-    UnitCost cost;
+    GroupStates partial;
+    Metrics cost;
   };
-  std::vector<ClassOut> couts(class_tuples.size());
+  std::vector<ClassOut> couts(classes.size());
   obs::Span agg_span("class-aggregate", "protocol");
   PDS_RETURN_IF_ERROR(
       FleetExecutor::Run(exec, np, [&](size_t t) -> Status {
         mcu::SecureToken* token = participants[t].token;
         for (size_t ci : classes_by_token[t]) {
-          const std::vector<const WireTuple*>& tuples = *class_tuples[ci];
+          const KeyClass& c = classes[ci];
           ClassOut& co = couts[ci];
-          PDS_ASSIGN_OR_RETURN(
-              Bytes group_plain,
-              token->DecryptDet(ByteView(tuples.front()->group_ct)));
-          ++co.cost.token_ops;
-          co.group = ByteView(group_plain).ToString();
-          if (co.group.rfind(kFakeGroupPrefix, 0) == 0) {
-            // Whole class is white noise; discard inside the token.
-            co.fake = true;
-            co.cost.token_ops += tuples.size();  // decrypt-and-drop
-            continue;
-          }
-          for (const WireTuple* wt : tuples) {
-            co.cost.AddSsiToToken(wt->payload_ct.size());
-            PDS_ASSIGN_OR_RETURN(
-                Bytes payload, token->DecryptNonDet(ByteView(wt->payload_ct)));
-            ++co.cost.token_ops;
-            PDS_ASSIGN_OR_RETURN(AggPayload p, DecodeAggPayload(ByteView(payload)));
-            if (!p.fake) {
-              co.gs.sum += p.sum;
-              co.gs.count += p.count;
+          if (histogram) {
+            PDS_RETURN_IF_ERROR(DecryptFold(token, c.payloads, &co.partial,
+                                            &co.cost.token_crypto_ops));
+          } else {
+            PDS_ASSIGN_OR_RETURN(ClassAggregate ca,
+                                 AggregateClass(token, ByteView(c.key),
+                                                c.payloads,
+                                                &co.cost.token_crypto_ops));
+            if (ca.noise) {
+              continue;  // dropped unopened: its payloads never travel
             }
+            co.partial[ca.group] = ca.state;
+          }
+          for (const Bytes& ct : c.payloads) {
+            co.cost.AddSsiToToken(ct.size());
           }
         }
         return Status::Ok();
       }));
-  std::map<std::string, GroupState> state;
+  GroupStates state;
   for (ClassOut& co : couts) {
-    co.cost.MergeInto(&out.metrics);
-    if (co.fake) {
-      continue;
+    out.metrics.Merge(co.cost);
+    for (const auto& [group, gs] : co.partial) {
+      state[group].sum += gs.sum;
+      state[group].count += gs.count;
     }
-    GroupState& gs = state[co.group];
-    gs.sum += co.gs.sum;
-    gs.count += co.gs.count;
   }
   ++out.metrics.rounds;
 
@@ -396,21 +233,25 @@ Result<AggOutput> WhiteNoiseProtocol::Execute(
   if (participants.empty()) {
     return Status::InvalidArgument("no participants");
   }
+  // Fake labels come from one stream shared by the whole fleet, drawn in a
+  // serial pre-pass in participant order.
   Rng noise_rng(config_.noise_seed);
-  return RunDetProtocol(
+  std::vector<std::vector<SourceTuple>> noise(participants.size());
+  for (size_t pi = 0; pi < participants.size(); ++pi) {
+    size_t n = static_cast<size_t>(
+        static_cast<double>(participants[pi].tuples.size()) *
+        config_.noise_ratio);
+    for (size_t i = 0; i < n; ++i) {
+      noise[pi].push_back(
+          {std::string(kFakeGroupPrefix) + std::to_string(noise_rng.Next()),
+           0.0});
+    }
+  }
+  return RunKeyedProtocol(
       "white-noise", participants, func, config_.executor,
-      [&](Participant& p, size_t real_count,
-          std::vector<std::pair<std::string, double>>* fakes) {
-        (void)p;
-        size_t n = static_cast<size_t>(
-            static_cast<double>(real_count) * config_.noise_ratio);
-        for (size_t i = 0; i < n; ++i) {
-          fakes->emplace_back(
-              std::string(kFakeGroupPrefix) +
-                  std::to_string(noise_rng.Next()),
-              0.0);
-        }
-        return Status::Ok();
+      /*histogram=*/false, [&](size_t pi, uint64_t* ops) {
+        return DetEncrypt(participants[pi].token, participants[pi].tuples,
+                          noise[pi], ops);
       });
 }
 
@@ -422,30 +263,31 @@ Result<AggOutput> DomainNoiseProtocol::Execute(
   if (config_.domain.empty()) {
     return Status::InvalidArgument("domain noise requires the value domain");
   }
-  // Real groups must belong to the announced domain.
-  std::set<std::string> domain(config_.domain.begin(), config_.domain.end());
-  for (const Participant& p : participants) {
-    for (const SourceTuple& t : p.tuples) {
-      if (domain.count(t.group) == 0) {
-        return Status::InvalidArgument("group '" + t.group +
-                                       "' outside the announced domain");
-      }
-    }
+  std::vector<std::vector<SourceTuple>> noise(participants.size());
+  for (size_t pi = 0; pi < participants.size(); ++pi) {
+    PDS_ASSIGN_OR_RETURN(noise[pi],
+                         DomainNoise(participants[pi].tuples, config_.domain,
+                                     config_.fakes_per_value));
   }
-  return RunDetProtocol(
+  return RunKeyedProtocol(
       "domain-noise", participants, func, config_.executor,
-      [&](Participant& p, size_t real_count,
-          std::vector<std::pair<std::string, double>>* fakes) {
-        (void)p;
-        (void)real_count;
-        // Cover the complementary domain: every domain value receives
-        // fake tuples from every participant, flattening the histogram.
-        for (const std::string& v : config_.domain) {
-          for (uint32_t i = 0; i < config_.fakes_per_value; ++i) {
-            fakes->emplace_back(v, 0.0);
-          }
-        }
-        return Status::Ok();
+      /*histogram=*/false, [&](size_t pi, uint64_t* ops) {
+        return DetEncrypt(participants[pi].token, participants[pi].tuples,
+                          noise[pi], ops);
+      });
+}
+
+Result<AggOutput> HistogramProtocol::Execute(
+    std::vector<Participant>& participants, AggFunc func) {
+  if (participants.empty()) {
+    return Status::InvalidArgument("no participants");
+  }
+  return RunKeyedProtocol(
+      "histogram", participants, func, config_.executor, /*histogram=*/true,
+      [&](size_t pi, uint64_t* ops) {
+        return HistogramEncrypt(participants[pi].token,
+                                participants[pi].tuples, config_.num_buckets,
+                                ops);
       });
 }
 
@@ -465,11 +307,6 @@ Result<AggOutput> PackedPaillierProtocol::Execute(
   protocol_span.AddArg("participants", static_cast<double>(np));
   protocol_span.AddArg("domain", static_cast<double>(k));
 
-  std::map<std::string, size_t> slot_of;
-  for (size_t i = 0; i < k; ++i) {
-    slot_of[config_.domain[i]] = i;
-  }
-
   // The querier owns the keypair; tokens only hold the public packing
   // context. Two slots per domain value: 2i = sum, 2i + 1 = count.
   Rng key_rng(config_.key_seed);
@@ -481,25 +318,11 @@ Result<AggOutput> PackedPaillierProtocol::Execute(
                            paillier, np, config_.max_slot_value, 2 * k));
   PDS_RETURN_IF_ERROR(agg.CheckAddBudget(np));
 
-  // Serial pre-pass: fold each participant's tuples into per-slot counters
-  // (integer-valued tuples only — the packed path carries counters).
-  std::vector<std::vector<uint64_t>> counters(np,
-                                              std::vector<uint64_t>(2 * k, 0));
+  // Serial pre-pass: fold each participant's tuples into per-slot counters.
+  std::vector<std::vector<uint64_t>> counters(np);
   for (size_t pi = 0; pi < np; ++pi) {
-    for (const SourceTuple& t : participants[pi].tuples) {
-      auto it = slot_of.find(t.group);
-      if (it == slot_of.end()) {
-        return Status::InvalidArgument("group '" + t.group +
-                                       "' outside the announced domain");
-      }
-      if (t.value < 0 ||
-          t.value != static_cast<double>(static_cast<uint64_t>(t.value))) {
-        return Status::InvalidArgument(
-            "packed protocol requires non-negative integer values");
-      }
-      counters[pi][2 * it->second] += static_cast<uint64_t>(t.value);
-      counters[pi][2 * it->second + 1] += 1;
-    }
+    PDS_ASSIGN_OR_RETURN(counters[pi],
+                         SlotCounters(participants[pi].tuples, config_.domain));
     for (uint64_t c : counters[pi]) {
       if (c > config_.max_slot_value) {
         return Status::InvalidArgument(
@@ -512,20 +335,20 @@ Result<AggOutput> PackedPaillierProtocol::Execute(
   // ciphertext. Tokens are independent, so participants fan out across the
   // executor; gathering by index keeps ciphertext order deterministic.
   std::vector<crypto::BigInt> cts(np);
-  std::vector<UnitCost> costs(np);
+  std::vector<Metrics> costs(np);
   {
     obs::Span phase_span("packed-encrypt", "protocol");
     PDS_RETURN_IF_ERROR(
         FleetExecutor::Run(config_.executor, np, [&](size_t pi) -> Status {
           PDS_ASSIGN_OR_RETURN(
               cts[pi], participants[pi].token->EncryptPacked(agg, counters[pi]));
-          ++costs[pi].token_ops;
+          ++costs[pi].token_crypto_ops;
           costs[pi].AddTokenToSsi(cts[pi].ToBytes().size());
           return Status::Ok();
         }));
   }
   for (size_t pi = 0; pi < np; ++pi) {
-    costs[pi].MergeInto(&out.metrics);
+    out.metrics.Merge(costs[pi]);
     observer.ObserveTuple(ByteView(cts[pi].ToBytes()));
   }
 
@@ -543,7 +366,7 @@ Result<AggOutput> PackedPaillierProtocol::Execute(
   ++out.metrics.token_crypto_ops;
   ++out.metrics.rounds;
 
-  std::map<std::string, GroupState> state;
+  GroupStates state;
   for (size_t i = 0; i < k; ++i) {
     GroupState& gs = state[config_.domain[i]];
     gs.sum = static_cast<double>(totals[2 * i]);
@@ -552,116 +375,6 @@ Result<AggOutput> PackedPaillierProtocol::Execute(
   out.groups = Finalize(state, func);
   out.leakage = observer.Report();
   RecordProtocolRun("packed-paillier", out.metrics, out.leakage);
-  return out;
-}
-
-Result<AggOutput> HistogramProtocol::Execute(
-    std::vector<Participant>& participants, AggFunc func) {
-  if (participants.empty()) {
-    return Status::InvalidArgument("no participants");
-  }
-  if (config_.num_buckets == 0) {
-    return Status::InvalidArgument("need >= 1 bucket");
-  }
-  AggOutput out;
-  HbcObserver observer;
-  const size_t np = participants.size();
-  obs::Span protocol_span("histogram", "protocol");
-  protocol_span.AddArg("participants", static_cast<double>(np));
-
-  struct WireTuple {
-    uint32_t bucket = 0;
-    Bytes payload_ct;
-  };
-
-  // Parallel per-participant encryption, gathered by participant index.
-  struct WireOut {
-    std::vector<WireTuple> wire;
-    UnitCost cost;
-  };
-  std::vector<WireOut> wouts(np);
-  PDS_RETURN_IF_ERROR(
-      FleetExecutor::Run(config_.executor, np, [&](size_t pi) -> Status {
-        Participant& p = participants[pi];
-        WireOut& wo = wouts[pi];
-        wo.wire.reserve(p.tuples.size());
-        for (const SourceTuple& t : p.tuples) {
-          WireTuple wt;
-          wt.bucket = static_cast<uint32_t>(
-              Fnv1a64(std::string_view(t.group)) % config_.num_buckets);
-          Bytes payload = EncodeAggPayload(false, t.value, 1, t.group);
-          PDS_ASSIGN_OR_RETURN(wt.payload_ct,
-                               p.token->EncryptNonDet(ByteView(payload)));
-          ++wo.cost.token_ops;
-          wo.cost.AddTokenToSsi(4 + wt.payload_ct.size());
-          wo.wire.push_back(std::move(wt));
-        }
-        return Status::Ok();
-      }));
-  std::vector<WireTuple> wire;
-  for (size_t pi = 0; pi < np; ++pi) {
-    wouts[pi].cost.MergeInto(&out.metrics);
-    for (WireTuple& wt : wouts[pi].wire) {
-      uint8_t bucket_key[4];
-      EncodeU32(bucket_key, wt.bucket);
-      observer.ObserveTuple(ByteView(bucket_key, 4));
-      wire.push_back(std::move(wt));
-    }
-  }
-  ++out.metrics.rounds;
-
-  // SSI: partition by plaintext bucket id.
-  std::map<uint32_t, std::vector<const WireTuple*>> buckets;
-  for (const WireTuple& wt : wire) {
-    buckets[wt.bucket].push_back(&wt);
-    ++out.metrics.ssi_ops;
-  }
-
-  // Tokens open each bucket and aggregate the true groups inside; buckets
-  // sharing a token run inside one work unit, gathered in bucket order.
-  std::vector<const std::vector<const WireTuple*>*> bucket_tuples;
-  bucket_tuples.reserve(buckets.size());
-  for (const auto& [bucket, tuples] : buckets) {
-    bucket_tuples.push_back(&tuples);
-  }
-  std::vector<std::vector<size_t>> buckets_by_token =
-      RoundRobin(bucket_tuples.size(), np, 0);
-
-  struct BucketOut {
-    std::map<std::string, GroupState> partial;
-    UnitCost cost;
-  };
-  std::vector<BucketOut> bouts(bucket_tuples.size());
-  PDS_RETURN_IF_ERROR(
-      FleetExecutor::Run(config_.executor, np, [&](size_t t) -> Status {
-        mcu::SecureToken* token = participants[t].token;
-        for (size_t bi : buckets_by_token[t]) {
-          BucketOut& bo = bouts[bi];
-          for (const WireTuple* wt : *bucket_tuples[bi]) {
-            bo.cost.AddSsiToToken(wt->payload_ct.size());
-            PDS_ASSIGN_OR_RETURN(
-                Bytes payload, token->DecryptNonDet(ByteView(wt->payload_ct)));
-            ++bo.cost.token_ops;
-            PDS_ASSIGN_OR_RETURN(AggPayload p, DecodeAggPayload(ByteView(payload)));
-            bo.partial[p.group].sum += p.sum;
-            bo.partial[p.group].count += p.count;
-          }
-        }
-        return Status::Ok();
-      }));
-  std::map<std::string, GroupState> state;
-  for (BucketOut& bo : bouts) {
-    bo.cost.MergeInto(&out.metrics);
-    for (auto& [group, gs] : bo.partial) {
-      state[group].sum += gs.sum;
-      state[group].count += gs.count;
-    }
-  }
-  ++out.metrics.rounds;
-
-  out.groups = Finalize(state, func);
-  out.leakage = observer.Report();
-  RecordProtocolRun("histogram", out.metrics, out.leakage);
   return out;
 }
 

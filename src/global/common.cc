@@ -59,31 +59,50 @@ double LeakageReport::ClassEntropyBits() const {
   return h;
 }
 
-std::map<std::string, double> PlainAggregate(
-    const std::vector<Participant>& participants, AggFunc func) {
-  std::map<std::string, double> sums;
-  std::map<std::string, uint64_t> counts;
-  for (const Participant& p : participants) {
-    for (const SourceTuple& t : p.tuples) {
-      sums[t.group] += t.value;
-      ++counts[t.group];
-    }
-  }
+void Metrics::Merge(const Metrics& other) {
+  messages += other.messages;
+  bytes += other.bytes;
+  rounds += other.rounds;
+  token_crypto_ops += other.token_crypto_ops;
+  ssi_ops += other.ssi_ops;
+  bytes_token_to_ssi += other.bytes_token_to_ssi;
+  bytes_ssi_to_token += other.bytes_ssi_to_token;
+  tokens_missing += other.tokens_missing;
+}
+
+std::map<std::string, double> Finalize(const GroupStates& states,
+                                       AggFunc func) {
   std::map<std::string, double> out;
-  for (auto& [group, sum] : sums) {
+  for (const auto& [group, s] : states) {
+    if (s.count == 0) {
+      continue;  // only fake contributions
+    }
     switch (func) {
       case AggFunc::kSum:
-        out[group] = sum;
+        out[group] = s.sum;
         break;
       case AggFunc::kCount:
-        out[group] = static_cast<double>(counts[group]);
+        out[group] = static_cast<double>(s.count);
         break;
       case AggFunc::kAvg:
-        out[group] = sum / static_cast<double>(counts[group]);
+        out[group] = s.sum / static_cast<double>(s.count);
         break;
     }
   }
   return out;
+}
+
+std::map<std::string, double> PlainAggregate(
+    const std::vector<Participant>& participants, AggFunc func) {
+  GroupStates states;
+  for (const Participant& p : participants) {
+    for (const SourceTuple& t : p.tuples) {
+      GroupState& s = states[t.group];
+      s.sum += t.value;
+      ++s.count;
+    }
+  }
+  return Finalize(states, func);
 }
 
 void RecordProtocolRun(const char* name, const Metrics& metrics,

@@ -59,6 +59,9 @@ struct Metrics {
     AddMessage(message_bytes);
     bytes_ssi_to_token += message_bytes;
   }
+  /// Adds every counter of `other`. All fields are sums, so per-work-unit
+  /// costs merged in index order reproduce the serial counters exactly.
+  void Merge(const Metrics& other);
 };
 
 /// What the honest-but-curious SSI learned during a protocol run — the
@@ -86,6 +89,18 @@ struct LeakageReport {
 
 /// The aggregate requested from the fleet.
 enum class AggFunc { kSum, kCount, kAvg };
+
+/// Sum/count accumulation of one group.
+struct GroupState {
+  double sum = 0;
+  uint64_t count = 0;
+};
+using GroupStates = std::map<std::string, GroupState>;
+
+/// Applies `func` to every group's state. Groups whose count is 0 (they
+/// received only noise tuples) are left out.
+[[nodiscard]] std::map<std::string, double> Finalize(
+    const GroupStates& states, AggFunc func);
 
 /// Group-label prefix marking [TNP14] noise tuples. The prefix starts with
 /// a non-printable byte so it cannot collide with a real user-visible group.

@@ -4,6 +4,8 @@
 #include <map>
 #include <set>
 
+#include "global/agg_steps.h"
+
 namespace pds::global {
 
 namespace {
@@ -175,36 +177,12 @@ Result<SealedAudit> AuditSealedBatch(mcu::SecureToken* querier,
   if (!out.verdict.ok) {
     return out;
   }
-  struct Acc {
-    double sum = 0;
-    uint64_t count = 0;
-  };
-  std::map<std::string, Acc> state;
+  GroupStates state;
   for (const SealedTuple& t : tuples) {
-    PDS_ASSIGN_OR_RETURN(Bytes plain,
-                         querier->DecryptNonDet(ByteView(t.payload_ct)));
-    ++out.token_ops;
-    PDS_ASSIGN_OR_RETURN(AggPayload p, DecodeAggPayload(ByteView(plain)));
-    if (p.fake) {
-      continue;
-    }
-    Acc& a = state[p.group];
-    a.sum += p.sum;
-    a.count += p.count;
+    PDS_RETURN_IF_ERROR(
+        DecryptFold(querier, {&t.payload_ct, 1}, &state, &out.token_ops));
   }
-  for (const auto& [group, acc] : state) {
-    switch (func) {
-      case AggFunc::kSum:
-        out.groups[group] = acc.sum;
-        break;
-      case AggFunc::kCount:
-        out.groups[group] = static_cast<double>(acc.count);
-        break;
-      case AggFunc::kAvg:
-        out.groups[group] = acc.sum / static_cast<double>(acc.count);
-        break;
-    }
-  }
+  out.groups = Finalize(state, func);
   return out;
 }
 

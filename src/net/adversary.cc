@@ -1,7 +1,11 @@
 #include "net/adversary.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
+
+#include "net/codec.h"
+#include "net/ssi_server.h"
 
 namespace pds::net {
 
@@ -80,6 +84,98 @@ std::string ApplySealedTampering(const AdversaryPlan& plan,
       return "";
   }
   return "";
+}
+
+void ApplyAggregateForgery(const AdversaryPlan& plan,
+                           std::map<std::string, double>* groups) {
+  if (plan.action == AdversaryAction::kForgeAggregate && !groups->empty()) {
+    groups->begin()->second += 1.0;
+  }
+}
+
+ProbeTransport::ProbeTransport(std::unique_ptr<Transport> inner,
+                               uint32_t deadline_ms)
+    : inner_(std::move(inner)), deadline_ms_(deadline_ms) {}
+
+Status ProbeTransport::Send(ByteView frame) {
+  auto m = DecodeMessage(frame);
+  if (m.ok()) {
+    if (const auto* req = std::get_if<RoundRequestMsg>(&m.value().body)) {
+      last_round_id_ = std::max(last_round_id_, req->header.round_id);
+      checksummed_ = m.value().checksummed;
+    }
+  }
+  Status s = inner_->Send(frame);
+  if (s.ok()) CountSent(frame.size());
+  return s;
+}
+
+Result<Bytes> ProbeTransport::Recv(uint32_t deadline_ms) {
+  Result<Bytes> r = inner_->Recv(deadline_ms);
+  if (r.ok()) CountReceived(r.value().size());
+  return r;
+}
+
+void ProbeTransport::Close() { inner_->Close(); }
+
+bool ProbeTransport::closed() const { return inner_->closed(); }
+
+Result<std::string> ProbeTransport::Probe(AdversaryAction action) {
+  Bytes frame;
+  uint8_t want = 3;      // ErrorMsg code of the rejection a token must send
+  std::string defended;  // what the probe reports when it gets that
+  if (action == AdversaryAction::kReplayStaleRound) {
+    if (last_round_id_ < 1) {
+      return Status::FailedPrecondition(
+          "session has no completed round to replay");
+    }
+    RoundRequestMsg req;
+    req.header.round_id = last_round_id_ - 1;
+    req.header.kind = RoundKind::kCollect;
+    req.header.func = global::AggFunc::kSum;
+    frame = EncodeRoundRequest(req);
+    if (checksummed_) frame = AppendFrameChecksum(frame);
+    want = 4;
+    defended = "stale round " + std::to_string(req.header.round_id) +
+               " rejected: ";
+  } else {
+    // A round-request header over a payload that is either impossibly
+    // large (only the header is sent) or garbage. Depending on the
+    // transport the token either sees the oversized header and rejects it,
+    // or its socket layer refuses the header before allocation and the
+    // session dies cleanly; both are the defence working. Garbage must
+    // fail structured decode without killing the token's serve loop.
+    const bool oversized = action == AdversaryAction::kOversizedFrame;
+    constexpr size_t kGarbage = 16;
+    frame.assign(kFrameHeaderSize + (oversized ? 0 : kGarbage), 0xFF);
+    frame[0] = static_cast<uint8_t>(kMagic & 0xff);
+    frame[1] = static_cast<uint8_t>(kMagic >> 8);
+    frame[2] = kWireVersion;
+    frame[3] = static_cast<uint8_t>(MsgType::kRoundRequest);
+    EncodeU32(frame.data() + 4,
+              oversized ? static_cast<uint32_t>(kMaxFramePayload) + 1
+                        : static_cast<uint32_t>(kGarbage));
+    defended = oversized ? "oversized frame rejected before allocation: "
+                         : "malformed frame rejected: ";
+  }
+  PDS_RETURN_IF_ERROR(inner_->Send(frame));
+  auto reply = inner_->Recv(deadline_ms_);
+  if (!reply.ok()) {
+    if (action == AdversaryAction::kOversizedFrame &&
+        SsiServer::IsStragglerFailure(reply.status())) {
+      return std::string(
+          "token refused the oversized frame; session closed cleanly");
+    }
+    return reply.status();
+  }
+  PDS_ASSIGN_OR_RETURN(Message m, DecodeMessage(reply.value()));
+  const ErrorMsg* err = std::get_if<ErrorMsg>(&m.body);
+  if (err == nullptr || err->code != want) {
+    return Status::IntegrityViolation(
+        std::string("token did not reject the ") +
+        AdversaryActionName(action) + " probe");
+  }
+  return defended + err->message;
 }
 
 global::IntegrityVerdict CompareAggregates(

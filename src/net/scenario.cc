@@ -30,40 +30,6 @@ struct ReconnectRendezvous {
   std::unique_ptr<Transport> client_side;
 };
 
-/// Plaintext truth over a participant subset, summed in pooled order —
-/// the same addition order as a sealed-batch audit, so doubles are
-/// bit-equal, not just close.
-std::map<std::string, double> PlainReference(
-    const std::vector<Participant>& parts, AggFunc func) {
-  struct Acc {
-    double sum = 0;
-    uint64_t count = 0;
-  };
-  std::map<std::string, Acc> state;
-  for (const Participant& p : parts) {
-    for (const global::SourceTuple& t : p.tuples) {
-      state[t.group].sum += t.value;
-      state[t.group].count += 1;
-    }
-  }
-  std::map<std::string, double> out;
-  for (const auto& [group, acc] : state) {
-    if (acc.count == 0) continue;
-    switch (func) {
-      case AggFunc::kSum:
-        out[group] = acc.sum;
-        break;
-      case AggFunc::kCount:
-        out[group] = static_cast<double>(acc.count);
-        break;
-      case AggFunc::kAvg:
-        out[group] = acc.sum / static_cast<double>(acc.count);
-        break;
-    }
-  }
-  return out;
-}
-
 /// In-process reference run over `parts` with the cell's parameters. Token
 /// reuse after the wire run is safe: group results depend on plaintext
 /// values and deterministic layouts, never on the tokens' RNG positions.
@@ -119,13 +85,6 @@ std::string FaultLabel(const ScenarioSpec& spec) {
   return "none";
 }
 
-bool IsSealedTampering(AdversaryAction a) {
-  return a == AdversaryAction::kSubstituteCiphertext ||
-         a == AdversaryAction::kReplayCiphertext ||
-         a == AdversaryAction::kOmitCiphertext ||
-         a == AdversaryAction::kForgeManifest;
-}
-
 bool IsProbeAction(AdversaryAction a) {
   return a == AdversaryAction::kReplayStaleRound ||
          a == AdversaryAction::kOversizedFrame ||
@@ -145,8 +104,8 @@ MakePair(bool use_socket) {
                         std::unique_ptr<Transport>(std::move(pair.second)));
 }
 
-Result<AggOutput> RunWireProtocol(SsiServer* server,
-                                  const ScenarioSpec& spec) {
+Result<AggOutput> RunHonestProtocol(SsiServer* server,
+                                    const ScenarioSpec& spec) {
   switch (spec.protocol) {
     case WireProtocol::kSecureAgg:
       return server->RunSecureAggregation(spec.func);
@@ -174,6 +133,17 @@ Result<AggOutput> RunWireProtocol(SsiServer* server,
                                           spec.domain);
   }
   return Status::InvalidArgument("unknown wire protocol");
+}
+
+/// One wire run as the cell's SSI reports it: the honest server's output,
+/// forged if the cell's adversary forges aggregates.
+Result<AggOutput> RunWireProtocol(SsiServer* server,
+                                  const ScenarioSpec& spec) {
+  Result<AggOutput> out = RunHonestProtocol(server, spec);
+  if (out.ok()) {
+    ApplyAggregateForgery(spec.adversary, &out.value().groups);
+  }
+  return out;
 }
 
 void AppendJsonBool(std::ostringstream* os, const char* key, bool v,
@@ -235,8 +205,8 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
   scfg.quorum = spec.quorum;
   scfg.verifier = spec.verifier;
   scfg.checksum_frames = spec.checksum_frames;
-  scfg.adversary = spec.adversary;
   SsiServer server(scfg);
+  ProbeTransport* probe = nullptr;  // session 0's link, for probe cells
 
   std::vector<std::unique_ptr<TokenClient>> clients;
   clients.reserve(spec.participants.size());
@@ -259,6 +229,12 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
       link.skip_first = 2;  // let the attestation handshake through
       server_side = std::make_unique<FaultInjectingTransport>(
           std::move(server_side), link, &link_log);
+    }
+    if (i == 0 && IsProbeAction(spec.adversary.action)) {
+      auto wrapped =
+          std::make_unique<ProbeTransport>(std::move(server_side), deadline);
+      probe = wrapped.get();
+      server_side = std::move(wrapped);
     }
     TokenClient::Config ccfg;
     ccfg.token = spec.participants[i].token;
@@ -305,6 +281,10 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
     if (!sealed.ok()) {
       res.error = sealed.status().ToString();
     } else {
+      // The weakly-malicious SSI acts here, after honest tokens sealed
+      // their contributions and before the pool reaches the querier.
+      const std::string tampered = ApplySealedTampering(
+          spec.adversary, &sealed.value().tuples, &sealed.value().manifests);
       res.ran_ok = true;
       res.leakage = sealed.value().leakage;
       auto audit = global::AuditSealedBatch(spec.verifier,
@@ -317,9 +297,9 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
       } else {
         res.detected = !audit.value().verdict.ok;
         res.detection = audit.value().verdict.problem;
-        if (!sealed.value().adversary_note.empty()) {
+        if (!tampered.empty()) {
           res.detection += res.detection.empty() ? "" : " ";
-          res.detection += "[ssi did: " + sealed.value().adversary_note + "]";
+          res.detection += "[ssi did: " + tampered + "]";
         }
         res.groups = audit.value().groups;
         if (audit.value().verdict.ok) {
@@ -330,7 +310,7 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
             if (tele[i].alive) subset.push_back(spec.participants[i]);
           }
           res.byte_identical =
-              res.groups == PlainReference(subset, spec.func);
+              res.groups == global::PlainAggregate(subset, spec.func);
         }
       }
     }
@@ -373,21 +353,11 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
   }
 
   // --- Adversarial probes (attack the session protocol directly) ----------
-  if (IsProbeAction(spec.adversary.action) && res.ran_ok) {
-    Result<std::string> probe = Status::Internal("unset");
-    switch (spec.adversary.action) {
-      case AdversaryAction::kReplayStaleRound:
-        probe = server.InjectStaleRound(0);
-        break;
-      case AdversaryAction::kOversizedFrame:
-        probe = server.InjectOversizedFrame(0);
-        break;
-      default:
-        probe = server.InjectMalformedFrame(0);
-        break;
-    }
-    res.detected = probe.ok();
-    res.detection = probe.ok() ? probe.value() : probe.status().ToString();
+  if (probe != nullptr && res.ran_ok) {
+    Result<std::string> verdict = probe->Probe(spec.adversary.action);
+    res.detected = verdict.ok();
+    res.detection =
+        verdict.ok() ? verdict.value() : verdict.status().ToString();
   }
 
   // --- Churn: hand the waiting token a fresh link, readmit, run again -----

@@ -1,15 +1,19 @@
 #include "net/ssi_server.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <map>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "common/clock.h"
 #include "common/rng.h"
+#include "global/agg_steps.h"
 #include "global/observer.h"
 #include "obs/obs.h"
 
@@ -20,49 +24,6 @@ namespace {
 using global::AggFunc;
 using global::AggOutput;
 using global::Metrics;
-
-/// Sum/count accumulation per group (mirrors agg_protocols.cc).
-struct GroupState {
-  double sum = 0;
-  uint64_t count = 0;
-};
-
-std::map<std::string, double> Finalize(
-    const std::map<std::string, GroupState>& states, AggFunc func) {
-  std::map<std::string, double> out;
-  for (const auto& [group, s] : states) {
-    if (s.count == 0) {
-      continue;
-    }
-    switch (func) {
-      case AggFunc::kSum:
-        out[group] = s.sum;
-        break;
-      case AggFunc::kCount:
-        out[group] = static_cast<double>(s.count);
-        break;
-      case AggFunc::kAvg:
-        out[group] = s.sum / static_cast<double>(s.count);
-        break;
-    }
-  }
-  return out;
-}
-
-/// Round-robin unit assignment, identical to the in-process protocol's:
-/// unit u goes to token (first + u) % num_tokens, and each token runs its
-/// units in increasing order.
-std::vector<std::vector<size_t>> RoundRobin(size_t num_units,
-                                            size_t num_tokens, size_t first) {
-  std::vector<std::vector<size_t>> by_token(num_tokens);
-  for (auto& units : by_token) {
-    units.reserve(num_units / num_tokens + 1);
-  }
-  for (size_t u = 0; u < num_units; ++u) {
-    by_token[(first + u) % num_tokens].push_back(u);
-  }
-  return by_token;
-}
 
 /// Fleet-wide wire counters; resolved once, then plain atomic adds
 /// (registry lookups must stay out of protocol loops).
@@ -92,19 +53,11 @@ const NetObs& NetHooks() {
   return hooks;
 }
 
-/// RAII flag for "a protocol run is in flight" (readmission refused).
-class RunGuard {
- public:
-  explicit RunGuard(std::atomic<bool>* flag) : flag_(flag) {
-    flag_->store(true);
-  }
-  ~RunGuard() { flag_->store(false); }
-  RunGuard(const RunGuard&) = delete;
-  RunGuard& operator=(const RunGuard&) = delete;
-
- private:
-  std::atomic<bool>* flag_;
+/// Holds "a protocol run is in flight" (readmission refused) until reset.
+struct ClearFlag {
+  void operator()(std::atomic<bool>* flag) const { flag->store(false); }
 };
+using RunGuard = std::unique_ptr<std::atomic<bool>, ClearFlag>;
 
 /// The round id a reply message answers, or nullptr for non-reply types.
 const uint32_t* ReplyRoundId(const Message& m) {
@@ -129,15 +82,18 @@ struct SsiServer::WireCost {
   uint64_t frame_rejects = 0;
 
   void MergeInto(Metrics* m, RoundReport* r) const {
-    m->messages += wire.messages;
-    m->bytes += wire.bytes;
-    m->token_crypto_ops += wire.token_crypto_ops;
-    m->bytes_token_to_ssi += wire.bytes_token_to_ssi;
-    m->bytes_ssi_to_token += wire.bytes_ssi_to_token;
+    m->Merge(wire);
     r->deadline_hits += deadline_hits;
     r->retries += retries;
     r->frame_rejects += frame_rejects;
   }
+};
+
+/// A protocol run in flight: the sessions live when it began, and the
+/// readmission refusal that lasts as long as the run.
+struct SsiServer::ActiveRun {
+  std::vector<size_t> live;
+  RunGuard guard;
 };
 
 SsiServer::SsiServer(const Config& config)
@@ -256,8 +212,15 @@ Result<Message> SsiServer::RoundTrip(Session* s, const Bytes& frame,
     rewritten = AttachTraceContext(frame, ctx);
     wire_frame = &rewritten;
   }
-  // Admission-control gauge: bytes of this session's in-flight request.
+  // Admission-control gauge: bytes of this session's in-flight request,
+  // released however the round trip ends.
   SessionStats* stats = s->stats.get();
+  struct InFlight {
+    SessionStats* stats;
+    ~InFlight() {
+      if (stats != nullptr) stats->buffer_bytes.Set(0);
+    }
+  } in_flight{stats};
   if (stats != nullptr) {
     stats->buffer_bytes.Set(static_cast<double>(wire_frame->size()));
   }
@@ -278,24 +241,19 @@ Result<Message> SsiServer::RoundTrip(Session* s, const Bytes& frame,
     const uint64_t deadline_ns =
         clock_->NowNs() +
         static_cast<uint64_t>(config_.deadline_ms) * 1000000ull;
-    bool timed_out = false;
-    while (!timed_out) {
+    while (true) {
       uint64_t now_ns = clock_->NowNs();
-      uint64_t left =
-          now_ns < deadline_ns ? (deadline_ns - now_ns) / 1000000ull : 0;
-      if (left == 0) {
-        timed_out = true;
+      if (now_ns >= deadline_ns) {
         break;
       }
-      auto recv =
-          s->transport->Recv(static_cast<uint32_t>(left));
+      // Round the wait up, as the socket transport does: a sub-millisecond
+      // remainder must still reach Recv, or a 1 ms deadline never reads
+      // even a reply that is already buffered.
+      auto recv = s->transport->Recv(static_cast<uint32_t>(
+          (deadline_ns - now_ns + 999999ull) / 1000000ull));
       if (!recv.ok()) {
         if (recv.status().code() == StatusCode::kDeadlineExceeded) {
-          timed_out = true;
           break;
-        }
-        if (stats != nullptr) {
-          stats->buffer_bytes.Set(0);
         }
         return recv.status();
       }
@@ -321,25 +279,16 @@ Result<Message> SsiServer::RoundTrip(Session* s, const Bytes& frame,
           hooks.frame_rejects->Add(1);
           continue;
         }
-        if (stats != nullptr) {
-          stats->buffer_bytes.Set(0);
-        }
         return Status::FailedPrecondition("peer error: " + err->message);
       }
       const uint32_t* got = ReplyRoundId(m);
       if (got == nullptr) {
-        if (stats != nullptr) {
-          stats->buffer_bytes.Set(0);
-        }
         return Status::FailedPrecondition("unexpected reply message type");
       }
       if (*got < round_id) {
         continue;  // stale answer to an earlier attempt/round; discard
       }
       if (*got > round_id) {
-        if (stats != nullptr) {
-          stats->buffer_bytes.Set(0);
-        }
         return Status::Corruption("reply from a future round");
       }
       double rtt_us =
@@ -350,9 +299,6 @@ Result<Message> SsiServer::RoundTrip(Session* s, const Bytes& frame,
       }
       rtt_us_.Record(rtt_us);
       hooks.round_trip_us->Record(rtt_us);
-      if (stats != nullptr) {
-        stats->buffer_bytes.Set(0);
-      }
       return m;
     }
     ++cost->deadline_hits;
@@ -361,16 +307,13 @@ Result<Message> SsiServer::RoundTrip(Session* s, const Bytes& frame,
       stats->deadline_hits.Add(1);
     }
   }
-  if (stats != nullptr) {
-    stats->buffer_bytes.Set(0);
-  }
   return Status::DeadlineExceeded("token did not answer round " +
                                   std::to_string(round_id) + " after " +
                                   std::to_string(config_.max_retries + 1) +
                                   " attempts");
 }
 
-Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
+Result<SsiServer::ActiveRun> SsiServer::BeginRun() {
   std::vector<size_t> live;
   live.reserve(sessions_.size());
   for (size_t i = 0; i < sessions_.size(); ++i) {
@@ -381,88 +324,118 @@ Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
   if (live.empty()) {
     return Status::InvalidArgument("no live sessions");
   }
-  RunGuard run_guard(&run_active_);
   report_ = RoundReport{};
   report_.sessions = live.size();
   run_trace_id_ = trace_rng_.Next();
+  run_active_.store(true);
+  return ActiveRun{std::move(live), RunGuard(&run_active_)};
+}
 
-  AggOutput out;
-  global::HbcObserver observer;
+void SsiServer::DropStraggler(Session* s) {
+  s->alive = false;
+  if (s->stats != nullptr) s->stats->stragglers.Add(1);
+}
+
+template <typename Reply>
+Result<Reply> SsiServer::Exchange(Session* s, RoundKind kind, AggFunc func,
+                                  std::vector<Bytes> batch, WireCost* cost) {
+  RoundRequestMsg req;
+  req.header.round_id = s->next_round_id++;
+  req.header.kind = kind;
+  req.header.func = func;
+  req.batch = std::move(batch);
+  PDS_ASSIGN_OR_RETURN(
+      Message reply,
+      RoundTrip(s, EncodeRoundRequest(req), req.header.round_id, cost));
+  Reply* body = std::get_if<Reply>(&reply.body);
+  if (body == nullptr) {
+    return Status::FailedPrecondition(
+        "round " + std::to_string(req.header.round_id) +
+        " was answered with the wrong message type");
+  }
+  cost->wire.token_crypto_ops += body->token_ops;
+  return std::move(*body);
+}
+
+Result<std::vector<SsiServer::Answer>> SsiServer::Collect(
+    const char* span_name, const std::vector<size_t>& live, RoundKind kind,
+    AggFunc func, const std::vector<Bytes>& batch, Metrics* metrics) {
+  obs::Span phase_span(span_name, "net");
   const size_t nl = live.size();
-  obs::Span protocol_span("net.secure-agg", "net");
-  protocol_span.AddArg("sessions", static_cast<double>(nl));
-
-  // Phase 1: collect — every live token encrypts and sends its authorized
-  // tuples. Sessions fan out over the executor; stragglers past the retry
-  // budget are tolerated down to the quorum.
-  std::vector<std::vector<Bytes>> enc(nl);
-  std::vector<WireCost> enc_cost(nl);
-  std::vector<uint8_t> responded(nl, 0);
-  {
-    obs::Span phase_span("net.collect", "net");
-    PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
-        config_.executor, nl, [&](size_t li) -> Status {
-          Session* s = sessions_[live[li]].get();
-          RoundRequestMsg req;
-          req.header.round_id = s->next_round_id++;
-          req.header.kind = RoundKind::kCollect;
-          req.header.func = func;
-          Bytes frame = EncodeRoundRequest(req);
-          auto reply = RoundTrip(s, frame, req.header.round_id, &enc_cost[li]);
-          if (!reply.ok()) {
-            if (IsStragglerFailure(reply.status())) {
-              s->alive = false;  // straggler: drop for the whole run
-              if (s->stats != nullptr) s->stats->stragglers.Add(1);
-              return Status::Ok();
-            }
-            return reply.status();
-          }
-          TupleBatchMsg* batch = std::get_if<TupleBatchMsg>(&reply.value().body);
-          if (batch == nullptr) {
-            return Status::FailedPrecondition(
-                "collect round expected a tuple batch");
-          }
-          enc_cost[li].wire.token_crypto_ops += batch->token_ops;
-          enc[li] = std::move(batch->batch);
-          responded[li] = 1;
-          return Status::Ok();
-        }));
-  }
-
-  size_t responders = 0;
-  std::vector<size_t> active;  // sessions that stay in the protocol
-  active.reserve(nl);
-  std::vector<Bytes> items;
+  std::vector<WireCost> costs(nl);
+  std::vector<std::optional<TupleBatchMsg>> replies(nl);
+  PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
+      config_.executor, nl, [&](size_t li) -> Status {
+        Session* s = sessions_[live[li]].get();
+        auto reply = Exchange<TupleBatchMsg>(s, kind, func, batch, &costs[li]);
+        if (reply.ok()) {
+          replies[li] = std::move(reply).value();
+        } else if (IsStragglerFailure(reply.status())) {
+          DropStraggler(s);  // gone for the whole run
+        } else {
+          return reply.status();
+        }
+        return Status::Ok();
+      }));
+  std::vector<Answer> answers;
+  answers.reserve(nl);
   for (size_t li = 0; li < nl; ++li) {
-    enc_cost[li].MergeInto(&out.metrics, &report_);
-    if (responded[li] == 0) {
-      continue;
-    }
-    ++responders;
-    active.push_back(live[li]);
-    for (Bytes& ct : enc[li]) {
-      observer.ObserveTuple(ByteView(ct));
-      items.push_back(std::move(ct));
+    costs[li].MergeInto(metrics, &report_);
+    if (replies[li].has_value()) {
+      answers.push_back({live[li], std::move(*replies[li])});
     }
   }
-  ++out.metrics.rounds;
+  ++metrics->rounds;
+  PDS_RETURN_IF_ERROR(RequireQuorum(answers.size(), nl, metrics));
+  return answers;
+}
 
+Status SsiServer::RequireQuorum(size_t responders, size_t sessions,
+                                Metrics* metrics) {
   report_.responders = responders;
-  report_.missing_tokens = nl - responders;
-  out.metrics.tokens_missing = report_.missing_tokens;
+  report_.missing_tokens = sessions - responders;
+  metrics->tokens_missing = report_.missing_tokens;
   const NetObs& hooks = NetHooks();
-  size_t need = static_cast<size_t>(
-      std::ceil(config_.quorum * static_cast<double>(nl)));
-  need = std::max<size_t>(need, 1);
   if (report_.missing_tokens > 0) {
     hooks.missing_tokens->Add(report_.missing_tokens);
   }
-  if (responders < need) {
-    hooks.quorum_shortfalls->Add(1);
-    return Status::FailedPrecondition(
-        "quorum not reached: " + std::to_string(responders) + "/" +
-        std::to_string(nl) + " tokens answered, need " +
-        std::to_string(need));
+  // quorum * sessions carries the binary rounding of `quorum` (0.56 * 25
+  // evaluates to 14.000000000000002). Forgiving a few ulps of it keeps a
+  // quorum the responders meet exactly from being rounded up past them;
+  // only a quorum written with 15 or more significant digits can exceed
+  // responders / sessions by less than that.
+  const double exact = config_.quorum * static_cast<double>(sessions);
+  const size_t need = std::max<size_t>(
+      1, static_cast<size_t>(std::ceil(exact * (1.0 - 4 * DBL_EPSILON))));
+  if (responders >= need) {
+    return Status::Ok();
+  }
+  hooks.quorum_shortfalls->Add(1);
+  return Status::FailedPrecondition(
+      "quorum not reached: " + std::to_string(responders) + "/" +
+      std::to_string(sessions) + " tokens answered, need " +
+      std::to_string(need));
+}
+
+Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
+  PDS_ASSIGN_OR_RETURN(ActiveRun run, BeginRun());
+  AggOutput out;
+  global::HbcObserver observer;
+  obs::Span protocol_span("net.secure-agg", "net");
+  protocol_span.AddArg("sessions", static_cast<double>(run.live.size()));
+
+  // Phase 1: collect — every live token encrypts and sends its authorized
+  // tuples. Stragglers past the retry budget are tolerated down to the
+  // quorum.
+  PDS_ASSIGN_OR_RETURN(std::vector<Answer> answers,
+                       Collect("net.collect", run.live, RoundKind::kCollect,
+                               func, {}, &out.metrics));
+  std::vector<Bytes> items;
+  for (Answer& a : answers) {
+    for (Bytes& ct : a.reply.batch) {
+      observer.ObserveTuple(ByteView(ct));
+      items.push_back(std::move(ct));
+    }
   }
 
   // Phase 2: iterative partition-and-aggregate over the responding tokens,
@@ -470,7 +443,7 @@ Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
   // protocol assigns them to participants. A token that vanishes now takes
   // its partition's data with it, so this phase has no quorum: retry, then
   // fail the run.
-  const size_t na = active.size();
+  const size_t na = answers.size();
   size_t worker = 0;
   while (items.size() > config_.partition_capacity) {
     obs::Span phase_span("net.aggregate-round", "net");
@@ -479,7 +452,7 @@ Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
     const size_t cap = config_.partition_capacity;
     const size_t num_parts = (items.size() + cap - 1) / cap;
     std::vector<std::vector<size_t>> parts_by_session =
-        RoundRobin(num_parts, na, worker);
+        global::RoundRobin(num_parts, na, worker);
     worker += num_parts;
 
     struct PartOut {
@@ -488,23 +461,25 @@ Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
     };
     std::vector<PartOut> parts(num_parts);
     std::vector<WireCost> map_cost(na);
+    auto partition = [&](size_t pi) {
+      return std::span<const Bytes>(items).subspan(
+          pi * cap, std::min(cap, items.size() - pi * cap));
+    };
     PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
         config_.executor, na, [&](size_t ai) -> Status {
           if (parts_by_session[ai].empty()) {
             return Status::Ok();
           }
-          Session* s = sessions_[active[ai]].get();
+          Session* s = sessions_[answers[ai].session].get();
           // Announce this session's slice of the layout, then stream its
           // partitions in increasing order (token RNG order).
           PartitionMapMsg pm;
           pm.round_id = s->next_round_id;
           pm.parts.reserve(parts_by_session[ai].size());
           for (size_t pi : parts_by_session[ai]) {
-            size_t start = pi * cap;
-            size_t end = std::min(items.size(), start + cap);
             pm.parts.push_back(
                 {static_cast<uint32_t>(pi), static_cast<uint32_t>(ai),
-                 static_cast<uint32_t>(end - start)});
+                 static_cast<uint32_t>(partition(pi).size())});
           }
           Bytes pm_frame = MaybeChecksum(EncodePartitionMap(pm));
           PDS_RETURN_IF_ERROR(s->transport->Send(pm_frame));
@@ -512,28 +487,13 @@ Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
           NetHooks().frames_sent->Add(1);
 
           for (size_t pi : parts_by_session[ai]) {
-            PartOut& po = parts[pi];
-            size_t start = pi * cap;
-            size_t end = std::min(items.size(), start + cap);
-            RoundRequestMsg req;
-            req.header.round_id = s->next_round_id++;
-            req.header.kind = RoundKind::kAggregate;
-            req.header.func = func;
-            req.batch.reserve(end - start);
-            for (size_t i = start; i < end; ++i) {
-              req.batch.push_back(items[i]);
-            }
-            Bytes frame = EncodeRoundRequest(req);
+            std::span<const Bytes> part = partition(pi);
             PDS_ASSIGN_OR_RETURN(
-                Message reply,
-                RoundTrip(s, frame, req.header.round_id, &po.cost));
-            TupleBatchMsg* batch = std::get_if<TupleBatchMsg>(&reply.body);
-            if (batch == nullptr) {
-              return Status::FailedPrecondition(
-                  "aggregate round expected a tuple batch");
-            }
-            po.cost.wire.token_crypto_ops += batch->token_ops;
-            po.cts = std::move(batch->batch);
+                TupleBatchMsg batch,
+                Exchange<TupleBatchMsg>(s, RoundKind::kAggregate, func,
+                                        {part.begin(), part.end()},
+                                        &parts[pi].cost));
+            parts[pi].cts = std::move(batch.batch);
           }
           return Status::Ok();
         }));
@@ -562,38 +522,21 @@ Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
   // Phase 3: final aggregation inside the first responding token.
   obs::Span final_span("net.finalize", "net");
   final_span.AddArg("items", static_cast<double>(items.size()));
-  Session* s0 = sessions_[active[0]].get();
   WireCost final_cost;
-  RoundRequestMsg fin;
-  fin.header.round_id = s0->next_round_id++;
-  fin.header.kind = RoundKind::kFinalize;
-  fin.header.func = func;
-  fin.batch = std::move(items);
-  Bytes fin_frame = EncodeRoundRequest(fin);
   PDS_ASSIGN_OR_RETURN(
-      Message reply, RoundTrip(s0, fin_frame, fin.header.round_id,
-                               &final_cost));
-  AggResultMsg* result = std::get_if<AggResultMsg>(&reply.body);
-  if (result == nullptr) {
-    return Status::FailedPrecondition("finalize round expected an agg result");
-  }
-  final_cost.wire.token_crypto_ops += result->token_ops;
+      AggResultMsg result,
+      Exchange<AggResultMsg>(sessions_[answers[0].session].get(),
+                             RoundKind::kFinalize, func, std::move(items),
+                             &final_cost));
   final_cost.MergeInto(&out.metrics, &report_);
   ++out.metrics.rounds;
 
-  std::map<std::string, GroupState> final_state;
-  for (const AggResultEntry& e : result->entries) {
+  global::GroupStates final_state;
+  for (const AggResultEntry& e : result.entries) {
     final_state[e.group].sum += e.sum;
     final_state[e.group].count += e.count;
   }
-  out.groups = Finalize(final_state, func);
-  if (config_.adversary.action == AdversaryAction::kForgeAggregate &&
-      !out.groups.empty()) {
-    // The weakly-malicious SSI shaves the first group's value. Without a
-    // sealed round to audit against, the querier catches this by
-    // re-running the aggregate through AuditSealedBatch and comparing.
-    out.groups.begin()->second += 1.0;
-  }
+  out.groups = global::Finalize(final_state, func);
   out.leakage = observer.Report();
   global::RecordProtocolRun("net-secure-agg", out.metrics, out.leakage);
   stats_ring_.Capture(obs::Registry::Global());
@@ -613,106 +556,47 @@ Result<AggOutput> SsiServer::RunPackedAggregation(
     return Status::InvalidArgument(
         "packed layout does not match the domain (need 2 slots per value)");
   }
-  std::vector<size_t> live;
-  live.reserve(sessions_.size());
-  for (size_t i = 0; i < sessions_.size(); ++i) {
-    if (sessions_[i]->alive) {
-      live.push_back(i);
-    }
-  }
-  if (live.empty()) {
-    return Status::InvalidArgument("no live sessions");
-  }
-  RunGuard run_guard(&run_active_);
-  report_ = RoundReport{};
-  report_.sessions = live.size();
-  run_trace_id_ = trace_rng_.Next();
-
+  PDS_ASSIGN_OR_RETURN(ActiveRun run, BeginRun());
   AggOutput out;
   global::HbcObserver observer;
-  const size_t nl = live.size();
   obs::Span protocol_span("net.packed-paillier", "net");
-  protocol_span.AddArg("sessions", static_cast<double>(nl));
+  protocol_span.AddArg("sessions", static_cast<double>(run.live.size()));
   protocol_span.AddArg("domain", static_cast<double>(domain.size()));
 
   // The single round: every token packs its counters into one ciphertext.
   // The request batch carries the domain labels in slot order.
-  std::vector<crypto::BigInt> cts(nl);
-  std::vector<WireCost> costs(nl);
-  std::vector<uint8_t> responded(nl, 0);
-  {
-    obs::Span phase_span("net.packed-collect", "net");
-    PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
-        config_.executor, nl, [&](size_t li) -> Status {
-          Session* s = sessions_[live[li]].get();
-          RoundRequestMsg req;
-          req.header.round_id = s->next_round_id++;
-          req.header.kind = RoundKind::kPackedCollect;
-          req.header.func = func;
-          req.batch.reserve(domain.size());
-          for (const std::string& g : domain) {
-            req.batch.push_back(ByteView(std::string_view(g)).ToBytes());
-          }
-          Bytes frame = EncodeRoundRequest(req);
-          auto reply = RoundTrip(s, frame, req.header.round_id, &costs[li]);
-          if (!reply.ok()) {
-            if (IsStragglerFailure(reply.status())) {
-              s->alive = false;  // straggler: drop for the whole run
-              if (s->stats != nullptr) s->stats->stragglers.Add(1);
-              return Status::Ok();
-            }
-            return reply.status();
-          }
-          TupleBatchMsg* batch =
-              std::get_if<TupleBatchMsg>(&reply.value().body);
-          if (batch == nullptr || batch->batch.size() != 1) {
-            return Status::FailedPrecondition(
-                "packed round expected exactly one ciphertext");
-          }
-          costs[li].wire.token_crypto_ops += batch->token_ops;
-          if (batch->batch[0].size() > kMaxPackedCiphertextBytes) {
-            return Status::Corruption(
-                "packed ciphertext exceeds kMaxPackedCiphertextBytes");
-          }
-          cts[li] = crypto::BigInt::FromBytes(ByteView(batch->batch[0]));
-          responded[li] = 1;
-          return Status::Ok();
-        }));
+  std::vector<Bytes> labels;
+  labels.reserve(domain.size());
+  for (const std::string& g : domain) {
+    labels.push_back(ByteView(std::string_view(g)).ToBytes());
   }
+  PDS_ASSIGN_OR_RETURN(
+      std::vector<Answer> answers,
+      Collect("net.packed-collect", run.live, RoundKind::kPackedCollect, func,
+              labels, &out.metrics));
 
-  size_t responders = 0;
+  // SSI: blind homomorphic fold of the responders' ciphertexts.
   crypto::BigInt acc;
-  for (size_t li = 0; li < nl; ++li) {
-    costs[li].MergeInto(&out.metrics, &report_);
-    if (responded[li] == 0) {
-      continue;
+  for (size_t i = 0; i < answers.size(); ++i) {
+    const std::vector<Bytes>& batch = answers[i].reply.batch;
+    if (batch.size() != 1) {
+      return Status::FailedPrecondition(
+          "packed round expected exactly one ciphertext");
     }
-    observer.ObserveTuple(ByteView(cts[li].ToBytes()));
-    acc = responders == 0 ? cts[li] : agg.Add(acc, cts[li]);
-    if (responders > 0) {
+    if (batch[0].size() > kMaxPackedCiphertextBytes) {
+      return Status::Corruption(
+          "packed ciphertext exceeds kMaxPackedCiphertextBytes");
+    }
+    crypto::BigInt ct = crypto::BigInt::FromBytes(ByteView(batch[0]));
+    observer.ObserveTuple(ByteView(ct.ToBytes()));
+    if (i == 0) {
+      acc = std::move(ct);
+    } else {
+      acc = agg.Add(acc, ct);
       ++out.metrics.ssi_ops;
     }
-    ++responders;
   }
-  ++out.metrics.rounds;
-
-  report_.responders = responders;
-  report_.missing_tokens = nl - responders;
-  out.metrics.tokens_missing = report_.missing_tokens;
-  const NetObs& hooks = NetHooks();
-  size_t need = static_cast<size_t>(
-      std::ceil(config_.quorum * static_cast<double>(nl)));
-  need = std::max<size_t>(need, 1);
-  if (report_.missing_tokens > 0) {
-    hooks.missing_tokens->Add(report_.missing_tokens);
-  }
-  if (responders < need) {
-    hooks.quorum_shortfalls->Add(1);
-    return Status::FailedPrecondition(
-        "quorum not reached: " + std::to_string(responders) + "/" +
-        std::to_string(nl) + " tokens answered, need " + std::to_string(need));
-  }
-  PDS_RETURN_IF_ERROR(agg.CheckAddBudget(responders));
+  PDS_RETURN_IF_ERROR(agg.CheckAddBudget(answers.size()));
 
   // Querier: one decrypt-unpack yields every (sum, count) total.
   // pdslint: declassify(the querier role decrypts only the aggregate sum
@@ -721,13 +605,13 @@ Result<AggOutput> SsiServer::RunPackedAggregation(
   PDS_ASSIGN_OR_RETURN(std::vector<uint64_t> totals, agg.DecryptUnpack(acc));
   ++out.metrics.token_crypto_ops;
 
-  std::map<std::string, GroupState> state;
+  global::GroupStates state;
   for (size_t i = 0; i < domain.size(); ++i) {
-    GroupState& gs = state[domain[i]];
+    global::GroupState& gs = state[domain[i]];
     gs.sum = static_cast<double>(totals[2 * i]);
     gs.count = totals[2 * i + 1];
   }
-  out.groups = Finalize(state, func);
+  out.groups = global::Finalize(state, func);
   out.leakage = observer.Report();
   global::RecordProtocolRun("net-packed-paillier", out.metrics, out.leakage);
   stats_ring_.Capture(obs::Registry::Global());
@@ -742,187 +626,69 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
   if (det.variant == DetVariant::kHistogram && det.num_buckets == 0) {
     return Status::InvalidArgument("histogram run requires num_buckets >= 1");
   }
-  std::vector<size_t> live;
-  live.reserve(sessions_.size());
-  for (size_t i = 0; i < sessions_.size(); ++i) {
-    if (sessions_[i]->alive) {
-      live.push_back(i);
-    }
-  }
-  if (live.empty()) {
-    return Status::InvalidArgument("no live sessions");
-  }
-  RunGuard run_guard(&run_active_);
-  report_ = RoundReport{};
-  report_.sessions = live.size();
-  run_trace_id_ = trace_rng_.Next();
-
+  PDS_ASSIGN_OR_RETURN(ActiveRun run, BeginRun());
   AggOutput out;
   global::HbcObserver observer;
-  const size_t nl = live.size();
   obs::Span protocol_span("net.det-agg", "net");
-  protocol_span.AddArg("sessions", static_cast<double>(nl));
+  protocol_span.AddArg("sessions", static_cast<double>(run.live.size()));
   protocol_span.AddArg("variant", static_cast<double>(det.variant));
 
   // Phase 1: kDetCollect fan-out. Batch entry 0 carries the public round
   // parameters; domain-noise rounds append the domain labels.
-  DetParams params;
-  params.variant = det.variant;
-  params.noise_ratio = det.noise_ratio;
-  params.noise_seed = det.noise_seed;
-  params.fakes_per_value = det.fakes_per_value;
-  params.num_buckets = det.num_buckets;
-
-  std::vector<std::vector<Bytes>> enc(nl);
-  std::vector<WireCost> enc_cost(nl);
-  std::vector<uint8_t> responded(nl, 0);
-  {
-    obs::Span phase_span("net.det-collect", "net");
-    PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
-        config_.executor, nl, [&](size_t li) -> Status {
-          Session* s = sessions_[live[li]].get();
-          RoundRequestMsg req;
-          req.header.round_id = s->next_round_id++;
-          req.header.kind = RoundKind::kDetCollect;
-          req.header.func = func;
-          req.batch.push_back(EncodeDetParams(params));
-          if (det.variant == DetVariant::kDomainNoise) {
-            for (const std::string& g : det.domain) {
-              req.batch.push_back(ByteView(std::string_view(g)).ToBytes());
-            }
-          }
-          Bytes frame = EncodeRoundRequest(req);
-          auto reply = RoundTrip(s, frame, req.header.round_id, &enc_cost[li]);
-          if (!reply.ok()) {
-            if (IsStragglerFailure(reply.status())) {
-              s->alive = false;  // straggler: drop for the whole run
-              if (s->stats != nullptr) s->stats->stragglers.Add(1);
-              return Status::Ok();
-            }
-            return reply.status();
-          }
-          TupleBatchMsg* batch =
-              std::get_if<TupleBatchMsg>(&reply.value().body);
-          if (batch == nullptr) {
-            return Status::FailedPrecondition(
-                "det collect round expected a tuple batch");
-          }
-          if (batch->batch.size() % 2 != 0) {
-            return Status::Corruption(
-                "det collect batch must hold (key, payload) pairs");
-          }
-          enc_cost[li].wire.token_crypto_ops += batch->token_ops;
-          enc[li] = std::move(batch->batch);
-          responded[li] = 1;
-          return Status::Ok();
-        }));
+  std::vector<Bytes> request{EncodeDetParams(det)};
+  if (det.variant == DetVariant::kDomainNoise) {
+    for (const std::string& g : det.domain) {
+      request.push_back(ByteView(std::string_view(g)).ToBytes());
+    }
   }
-
-  size_t responders = 0;
-  std::vector<size_t> active;
-  active.reserve(nl);
-  // Equality classes in deterministic-ciphertext order (mirrors the
-  // in-process protocol's std::map over ct bytes); histogram rounds key by
-  // the plaintext bucket id instead.
-  std::map<Bytes, std::vector<Bytes>> classes;
-  std::map<uint32_t, std::vector<Bytes>> buckets;
   const bool histogram = det.variant == DetVariant::kHistogram;
-  for (size_t li = 0; li < nl; ++li) {
-    enc_cost[li].MergeInto(&out.metrics, &report_);
-    if (responded[li] == 0) {
-      continue;
+  PDS_ASSIGN_OR_RETURN(
+      std::vector<Answer> answers,
+      Collect("net.det-collect", run.live, RoundKind::kDetCollect, func,
+              request, &out.metrics));
+  std::vector<std::vector<global::KeyedTuple>> sent(answers.size());
+  for (size_t i = 0; i < answers.size(); ++i) {
+    std::vector<Bytes>& batch = answers[i].reply.batch;
+    if (batch.size() % 2 != 0) {
+      return Status::Corruption(
+          "det collect batch must hold (key, payload) pairs");
     }
-    ++responders;
-    active.push_back(live[li]);
-    for (size_t i = 0; i + 1 < enc[li].size(); i += 2) {
-      Bytes& key = enc[li][i];
-      Bytes& payload = enc[li][i + 1];
-      observer.ObserveTuple(ByteView(key));
-      ++out.metrics.ssi_ops;
-      if (histogram) {
-        if (key.size() != 4) {
-          return Status::Corruption("histogram bucket key must be 4 bytes");
-        }
-        buckets[GetU32(key.data())].push_back(std::move(payload));
-      } else {
-        classes[key].push_back(std::move(payload));
-      }
+    sent[i].reserve(batch.size() / 2);
+    for (size_t k = 0; k < batch.size(); k += 2) {
+      sent[i].push_back({std::move(batch[k]), std::move(batch[k + 1])});
     }
   }
-  ++out.metrics.rounds;
+  PDS_ASSIGN_OR_RETURN(std::vector<global::KeyClass> classes,
+                       global::GroupByKey(&sent, histogram, &observer,
+                                          &out.metrics.ssi_ops));
 
-  report_.responders = responders;
-  report_.missing_tokens = nl - responders;
-  out.metrics.tokens_missing = report_.missing_tokens;
-  const NetObs& hooks = NetHooks();
-  size_t need = static_cast<size_t>(
-      std::ceil(config_.quorum * static_cast<double>(nl)));
-  need = std::max<size_t>(need, 1);
-  if (report_.missing_tokens > 0) {
-    hooks.missing_tokens->Add(report_.missing_tokens);
-  }
-  if (responders < need) {
-    hooks.quorum_shortfalls->Add(1);
-    return Status::FailedPrecondition(
-        "quorum not reached: " + std::to_string(responders) + "/" +
-        std::to_string(nl) + " tokens answered, need " + std::to_string(need));
-  }
-
-  // Phase 2: one class/bucket aggregation request per equality class,
+  // Phase 2: one class (bucket) aggregation request per equality class,
   // distributed round-robin over the responding sessions in class order —
   // identical to the in-process protocol's unit assignment. A session that
   // vanishes mid-phase fails over: its unfinished classes go to the next
   // live responder.
-  struct ClassUnit {
-    RoundKind kind = RoundKind::kClassAggregate;
-    std::vector<Bytes> batch;  // [key, payloads...] or [payloads...]
-  };
-  std::vector<ClassUnit> units;
-  units.reserve(histogram ? buckets.size() : classes.size());
-  if (histogram) {
-    for (auto& [bucket, payloads] : buckets) {
-      ClassUnit u;
-      u.kind = RoundKind::kFinalize;
-      u.batch = std::move(payloads);
-      units.push_back(std::move(u));
-    }
-  } else {
-    for (auto& [key, payloads] : classes) {
-      ClassUnit u;
-      u.kind = RoundKind::kClassAggregate;
-      u.batch.reserve(payloads.size() + 1);
-      u.batch.push_back(key);
-      for (Bytes& p : payloads) {
-        u.batch.push_back(std::move(p));
-      }
-      units.push_back(std::move(u));
-    }
-  }
-
-  const size_t na = active.size();
-  const size_t num_units = units.size();
+  const size_t na = answers.size();
+  const size_t num_units = classes.size();
   std::vector<AggResultMsg> results(num_units);
   std::vector<uint8_t> done(num_units, 0);
   std::vector<WireCost> unit_cost(num_units);
-  std::vector<std::vector<size_t>> by_session = RoundRobin(num_units, na, 0);
+  std::vector<std::vector<size_t>> by_session =
+      global::RoundRobin(num_units, na, 0);
 
   auto run_unit = [&](Session* s, size_t ui) -> Status {
-    RoundRequestMsg req;
-    req.header.round_id = s->next_round_id++;
-    req.header.kind = units[ui].kind;
-    req.header.func = func;
-    req.batch = units[ui].batch;
-    Bytes frame = EncodeRoundRequest(req);
-    PDS_ASSIGN_OR_RETURN(
-        Message reply, RoundTrip(s, frame, req.header.round_id,
-                                 &unit_cost[ui]));
-    AggResultMsg* result = std::get_if<AggResultMsg>(&reply.body);
-    if (result == nullptr) {
-      return Status::FailedPrecondition(
-          "class aggregation expected an agg result");
+    // [key, payloads...] for a class, [payloads...] for a bucket.
+    std::vector<Bytes> batch;
+    batch.reserve(classes[ui].payloads.size() + 1);
+    if (!histogram) {
+      batch.push_back(classes[ui].key);
     }
-    unit_cost[ui].wire.token_crypto_ops += result->token_ops;
-    results[ui] = std::move(*result);
+    batch.insert(batch.end(), classes[ui].payloads.begin(),
+                 classes[ui].payloads.end());
+    PDS_ASSIGN_OR_RETURN(
+        results[ui],
+        Exchange<AggResultMsg>(
+            s, histogram ? RoundKind::kFinalize : RoundKind::kClassAggregate,
+            func, std::move(batch), &unit_cost[ui]));
     done[ui] = 1;
     return Status::Ok();
   };
@@ -932,43 +698,36 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
     phase_span.AddArg("classes", static_cast<double>(num_units));
     PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
         config_.executor, na, [&](size_t ai) -> Status {
-          Session* s = sessions_[active[ai]].get();
+          Session* s = sessions_[answers[ai].session].get();
           for (size_t ui : by_session[ai]) {
             Status st = run_unit(s, ui);
             if (!st.ok()) {
-              if (IsStragglerFailure(st)) {
-                s->alive = false;  // failover picks up this session's rest
-                if (s->stats != nullptr) s->stats->stragglers.Add(1);
-                return Status::Ok();
+              if (!IsStragglerFailure(st)) {
+                return st;
               }
-              return st;
+              DropStraggler(s);  // failover picks up this session's rest
+              return Status::Ok();
             }
           }
           return Status::Ok();
         }));
     // Failover pass (serial): reassign unfinished classes to any session
-    // that is still alive, in active order.
+    // that is still alive, in responder order.
     for (size_t ui = 0; ui < num_units; ++ui) {
-      if (done[ui] != 0) {
-        continue;
-      }
-      bool recovered = false;
-      for (size_t ai = 0; ai < na && !recovered; ++ai) {
-        Session* s = sessions_[active[ai]].get();
+      for (size_t ai = 0; ai < na && done[ui] == 0; ++ai) {
+        Session* s = sessions_[answers[ai].session].get();
         if (!s->alive) {
           continue;
         }
         Status st = run_unit(s, ui);
-        if (st.ok()) {
-          recovered = true;
-        } else if (IsStragglerFailure(st)) {
-          s->alive = false;
-          if (s->stats != nullptr) s->stats->stragglers.Add(1);
-        } else {
-          return st;
+        if (!st.ok()) {
+          if (!IsStragglerFailure(st)) {
+            return st;
+          }
+          DropStraggler(s);
         }
       }
-      if (!recovered) {
+      if (done[ui] == 0) {
         return Status::FailedPrecondition(
             "every responding token vanished before class " +
             std::to_string(ui) + " could be aggregated");
@@ -977,7 +736,7 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
   }
 
   // Merge in class order (map order), exactly like the in-process merge.
-  std::map<std::string, GroupState> state;
+  global::GroupStates state;
   for (size_t ui = 0; ui < num_units; ++ui) {
     unit_cost[ui].MergeInto(&out.metrics, &report_);
     for (const AggResultEntry& e : results[ui].entries) {
@@ -987,11 +746,7 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
   }
   ++out.metrics.rounds;
 
-  out.groups = Finalize(state, func);
-  if (config_.adversary.action == AdversaryAction::kForgeAggregate &&
-      !out.groups.empty()) {
-    out.groups.begin()->second += 1.0;
-  }
+  out.groups = global::Finalize(state, func);
   out.leakage = observer.Report();
   switch (det.variant) {
     case DetVariant::kWhiteNoise:
@@ -1009,189 +764,39 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
 }
 
 Result<SsiServer::SealedCollect> SsiServer::RunSealedCollect() {
-  std::vector<size_t> live;
-  live.reserve(sessions_.size());
-  for (size_t i = 0; i < sessions_.size(); ++i) {
-    if (sessions_[i]->alive) {
-      live.push_back(i);
-    }
-  }
-  if (live.empty()) {
-    return Status::InvalidArgument("no live sessions");
-  }
-  RunGuard run_guard(&run_active_);
-  report_ = RoundReport{};
-  report_.sessions = live.size();
-  run_trace_id_ = trace_rng_.Next();
-
+  PDS_ASSIGN_OR_RETURN(ActiveRun run, BeginRun());
   SealedCollect out;
   global::HbcObserver observer;
-  const size_t nl = live.size();
   obs::Span protocol_span("net.sealed-collect", "net");
-  protocol_span.AddArg("sessions", static_cast<double>(nl));
+  protocol_span.AddArg("sessions", static_cast<double>(run.live.size()));
 
-  std::vector<std::vector<Bytes>> enc(nl);
-  std::vector<WireCost> costs(nl);
-  std::vector<uint8_t> responded(nl, 0);
-  PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
-      config_.executor, nl, [&](size_t li) -> Status {
-        Session* s = sessions_[live[li]].get();
-        RoundRequestMsg req;
-        req.header.round_id = s->next_round_id++;
-        req.header.kind = RoundKind::kSealedCollect;
-        req.header.func = global::AggFunc::kSum;
-        Bytes frame = EncodeRoundRequest(req);
-        auto reply = RoundTrip(s, frame, req.header.round_id, &costs[li]);
-        if (!reply.ok()) {
-          if (IsStragglerFailure(reply.status())) {
-            s->alive = false;
-            if (s->stats != nullptr) s->stats->stragglers.Add(1);
-            return Status::Ok();
-          }
-          return reply.status();
-        }
-        TupleBatchMsg* batch = std::get_if<TupleBatchMsg>(&reply.value().body);
-        if (batch == nullptr || batch->batch.empty()) {
-          return Status::FailedPrecondition(
-              "sealed collect expected [manifest, sealed tuples...]");
-        }
-        costs[li].wire.token_crypto_ops += batch->token_ops;
-        enc[li] = std::move(batch->batch);
-        responded[li] = 1;
-        return Status::Ok();
-      }));
-
-  size_t responders = 0;
-  for (size_t li = 0; li < nl; ++li) {
-    costs[li].MergeInto(&out.metrics, &report_);
-    if (responded[li] == 0) {
-      continue;
+  PDS_ASSIGN_OR_RETURN(
+      std::vector<Answer> answers,
+      Collect("net.collect", run.live, RoundKind::kSealedCollect,
+              AggFunc::kSum, {}, &out.metrics));
+  out.manifests.reserve(answers.size());
+  for (const Answer& a : answers) {
+    const std::vector<Bytes>& batch = a.reply.batch;
+    if (batch.empty()) {
+      return Status::FailedPrecondition(
+          "sealed collect expected [manifest, sealed tuples...]");
     }
-    ++responders;
     PDS_ASSIGN_OR_RETURN(global::Manifest manifest,
-                         global::DecodeManifest(ByteView(enc[li][0])));
+                         global::DecodeManifest(ByteView(batch[0])));
     out.manifests.push_back(manifest);
-    for (size_t i = 1; i < enc[li].size(); ++i) {
+    for (size_t i = 1; i < batch.size(); ++i) {
       PDS_ASSIGN_OR_RETURN(global::SealedTuple t,
-                           global::DecodeSealedTuple(ByteView(enc[li][i])));
+                           global::DecodeSealedTuple(ByteView(batch[i])));
       observer.ObserveTuple(ByteView(t.payload_ct));
       ++out.metrics.ssi_ops;
       out.tuples.push_back(std::move(t));
     }
   }
-  ++out.metrics.rounds;
-
-  report_.responders = responders;
-  report_.missing_tokens = nl - responders;
-  out.metrics.tokens_missing = report_.missing_tokens;
-  const NetObs& hooks = NetHooks();
-  size_t need = static_cast<size_t>(
-      std::ceil(config_.quorum * static_cast<double>(nl)));
-  need = std::max<size_t>(need, 1);
-  if (report_.missing_tokens > 0) {
-    hooks.missing_tokens->Add(report_.missing_tokens);
-  }
-  if (responders < need) {
-    hooks.quorum_shortfalls->Add(1);
-    return Status::FailedPrecondition(
-        "quorum not reached: " + std::to_string(responders) + "/" +
-        std::to_string(nl) + " tokens answered, need " + std::to_string(need));
-  }
-
-  // The weakly-malicious SSI acts here, after honest tokens sealed their
-  // contributions and before the pool reaches the querier.
-  out.adversary_note =
-      ApplySealedTampering(config_.adversary, &out.tuples, &out.manifests);
 
   out.leakage = observer.Report();
   global::RecordProtocolRun("net-sealed-collect", out.metrics, out.leakage);
   stats_ring_.Capture(obs::Registry::Global());
   return out;
-}
-
-Result<std::string> SsiServer::InjectStaleRound(size_t idx) {
-  if (idx >= sessions_.size() || !sessions_[idx]->alive) {
-    return Status::InvalidArgument("no live session at this index");
-  }
-  Session* s = sessions_[idx].get();
-  if (s->next_round_id < 2) {
-    return Status::FailedPrecondition(
-        "session has no completed round to replay");
-  }
-  RoundRequestMsg req;
-  req.header.round_id = s->next_round_id - 2;  // strictly below the latest
-  req.header.kind = RoundKind::kCollect;
-  req.header.func = global::AggFunc::kSum;
-  PDS_RETURN_IF_ERROR(
-      s->transport->Send(MaybeChecksum(EncodeRoundRequest(req))));
-  PDS_ASSIGN_OR_RETURN(Bytes reply, s->transport->Recv(config_.deadline_ms));
-  PDS_ASSIGN_OR_RETURN(Message m, DecodeMessage(reply));
-  const ErrorMsg* err = std::get_if<ErrorMsg>(&m.body);
-  if (err == nullptr || err->code != 4) {
-    return Status::IntegrityViolation(
-        "token ANSWERED a replayed stale round instead of rejecting it");
-  }
-  return "stale round " + std::to_string(req.header.round_id) +
-         " rejected: " + err->message;
-}
-
-Result<std::string> SsiServer::InjectOversizedFrame(size_t idx) {
-  if (idx >= sessions_.size() || !sessions_[idx]->alive) {
-    return Status::InvalidArgument("no live session at this index");
-  }
-  Session* s = sessions_[idx].get();
-  // A bare header declaring an impossible payload. Depending on the
-  // transport the token either sees the header-only frame (in-process) and
-  // rejects it, or its socket layer refuses the header before allocation
-  // and the session dies cleanly — both are the defence working.
-  Bytes frame(kFrameHeaderSize, 0);
-  frame[0] = static_cast<uint8_t>(kMagic & 0xff);
-  frame[1] = static_cast<uint8_t>(kMagic >> 8);
-  frame[2] = kWireVersion;
-  frame[3] = static_cast<uint8_t>(MsgType::kRoundRequest);
-  EncodeU32(frame.data() + 4, static_cast<uint32_t>(kMaxFramePayload) + 1);
-  PDS_RETURN_IF_ERROR(s->transport->Send(frame));
-  auto reply = s->transport->Recv(config_.deadline_ms);
-  if (!reply.ok()) {
-    if (IsStragglerFailure(reply.status())) {
-      s->alive = false;
-      return std::string(
-          "token refused the oversized frame; session closed cleanly");
-    }
-    return reply.status();
-  }
-  PDS_ASSIGN_OR_RETURN(Message m, DecodeMessage(reply.value()));
-  const ErrorMsg* err = std::get_if<ErrorMsg>(&m.body);
-  if (err == nullptr || err->code != 3) {
-    return Status::IntegrityViolation(
-        "token accepted a frame declaring an oversized payload");
-  }
-  return "oversized frame rejected before allocation: " + err->message;
-}
-
-Result<std::string> SsiServer::InjectMalformedFrame(size_t idx) {
-  if (idx >= sessions_.size() || !sessions_[idx]->alive) {
-    return Status::InvalidArgument("no live session at this index");
-  }
-  Session* s = sessions_[idx].get();
-  // Valid header, garbage payload: must fail structured decode on the
-  // token without killing its serve loop.
-  constexpr size_t kGarbage = 16;
-  Bytes frame(kFrameHeaderSize + kGarbage, 0xFF);
-  frame[0] = static_cast<uint8_t>(kMagic & 0xff);
-  frame[1] = static_cast<uint8_t>(kMagic >> 8);
-  frame[2] = kWireVersion;
-  frame[3] = static_cast<uint8_t>(MsgType::kRoundRequest);
-  EncodeU32(frame.data() + 4, kGarbage);
-  PDS_RETURN_IF_ERROR(s->transport->Send(frame));
-  PDS_ASSIGN_OR_RETURN(Bytes reply, s->transport->Recv(config_.deadline_ms));
-  PDS_ASSIGN_OR_RETURN(Message m, DecodeMessage(reply));
-  const ErrorMsg* err = std::get_if<ErrorMsg>(&m.body);
-  if (err == nullptr || err->code != 3) {
-    return Status::IntegrityViolation(
-        "token did not reject a malformed round request");
-  }
-  return "malformed frame rejected: " + err->message;
 }
 
 std::vector<SsiServer::SessionTelemetry> SsiServer::Telemetry() const {

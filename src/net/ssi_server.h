@@ -14,21 +14,27 @@
 #include "global/fleet_executor.h"
 #include "global/integrity.h"
 #include "mcu/secure_token.h"
-#include "net/adversary.h"
 #include "net/codec.h"
 #include "net/transport.h"
 #include "obs/obs.h"
 
 /// The SSI side of the real wire: hosts one protocol session per connected
-/// token and runs the [TNP14] secure-aggregation rounds over framed
-/// messages instead of in-process calls.
+/// token and runs the [TNP14] aggregation rounds over framed messages.
 ///
-/// The server mirrors global::SecureAggProtocol exactly — same item order,
-/// same partition layout, same map-ordered partials — so a loopback run
-/// over identically-seeded tokens produces byte-identical group results.
-/// What changes is the accounting: Metrics wire counters are measured from
-/// the actual frames sent and received (headers included), and rounds gain
-/// deadlines, bounded retry with backoff, and a configurable quorum.
+/// Every run opens the same way: the sessions live at its start take part,
+/// one collect round fans out over them, stragglers past the retry budget
+/// are dropped, and the run proceeds only at quorum. What follows is the
+/// protocol's own: partition rounds (secure aggregation), a homomorphic
+/// fold (packed Paillier), class rounds with failover (the det family), or
+/// nothing (the sealed collect). The token's work in each round is the
+/// step in global/agg_steps.h that the in-process protocols also run, and
+/// units are assigned to tokens in the same order, so a loopback run over
+/// identically-seeded tokens gives the in-process group results bit for
+/// bit. What differs is the accounting: Metrics wire counters are measured
+/// from the frames actually sent and received (headers included).
+///
+/// The server is honest. Tests that need a misbehaving SSI wrap its
+/// transports or edit what its runs return.
 namespace pds::net {
 
 class SsiServer {
@@ -57,9 +63,6 @@ class SsiServer {
     /// Detects *accidental* corruption early — adversarial detection stays
     /// with the integrity layer. Mutually exclusive with trace context.
     bool checksum_frames = false;
-    /// Weakly-malicious misbehaviour this server performs during runs (the
-    /// scenario harness turns this on to prove querier-side detection).
-    AdversaryPlan adversary;
     /// Clock behind every deadline, retry backoff, and round-trip latency
     /// measurement. Null means the process wall clock; the simulation tier
     /// injects a sim::SimClock here so timeouts run in virtual time.
@@ -118,14 +121,10 @@ class SsiServer {
       const std::vector<std::string>& domain);
 
   /// Parameters of one deterministic-encryption protocol run (the [TNP14]
-  /// white-noise / domain-noise / histogram family) over the wire.
-  struct DetRunConfig {
-    DetVariant variant = DetVariant::kWhiteNoise;
-    double noise_ratio = 0.2;      // white noise: fakes per real tuple
-    uint64_t noise_seed = 7;       // white noise: fake-label stream seed
-    uint32_t fakes_per_value = 1;  // domain noise: fakes per domain value
+  /// white-noise / domain-noise / histogram family) over the wire: the
+  /// public round parameters every token receives, plus the domain.
+  struct DetRunConfig : DetParams {
     std::vector<std::string> domain;  // domain noise: the public domain
-    uint32_t num_buckets = 16;     // histogram: bucket count
   };
 
   /// Executes one det-encryption protocol over all live sessions: a
@@ -139,28 +138,15 @@ class SsiServer {
 
   /// One sealed collection round: every live token MAC-seals its
   /// ciphertexts and signs a contribution manifest. The returned pool is
-  /// what the *SSI* claims arrived — when Config::adversary configures a
-  /// sealed tampering action it has already been applied, and
-  /// `adversary_note` says what the SSI did (empty for an honest run).
-  /// Feed the pool to global::AuditSealedBatch inside the querier token;
-  /// detection of every tampering action is the test's assertion.
+  /// what arrived at the SSI; feed it to global::AuditSealedBatch inside
+  /// the querier token, which detects any tampering with it.
   struct SealedCollect {
     std::vector<global::SealedTuple> tuples;
     std::vector<global::Manifest> manifests;
     global::Metrics metrics;
     global::LeakageReport leakage;
-    std::string adversary_note;
   };
   [[nodiscard]] Result<SealedCollect> RunSealedCollect();
-
-  /// Adversarial probes (AdversaryPlan actions that attack the session
-  /// protocol itself rather than a sealed batch). Each sends one hostile
-  /// frame on session `idx` and reports the observed token-side defence —
-  /// an error reply, or the clean death of the session. A Status return
-  /// means the probe could not run, not that the token survived.
-  [[nodiscard]] Result<std::string> InjectStaleRound(size_t idx);
-  [[nodiscard]] Result<std::string> InjectOversizedFrame(size_t idx);
-  [[nodiscard]] Result<std::string> InjectMalformedFrame(size_t idx);
 
   [[nodiscard]] const RoundReport& last_report() const { return report_; }
 
@@ -201,6 +187,10 @@ class SsiServer {
   /// Sends Bye on every live session and closes the transports.
   void Shutdown();
 
+  /// True when a session that failed this way is gone for the run: a
+  /// timeout, a dead transport, or a desynchronized byte stream.
+  [[nodiscard]] static bool IsStragglerFailure(const Status& s);
+
  private:
   /// Per-session accounting, bumped on the round-trip hot path with plain
   /// atomic ops (no registry lookups).
@@ -220,7 +210,46 @@ class SsiServer {
     /// Null under Config::lean_sessions (million-session fleets).
     std::unique_ptr<SessionStats> stats;
   };
-  struct WireCost;  // per-work-unit wire accounting (defined in the .cc)
+  struct WireCost;   // per-work-unit wire accounting (defined in the .cc)
+  struct ActiveRun;  // a run in flight (defined in the .cc)
+
+  /// Opens a protocol run: picks the live sessions, refuses readmission
+  /// until the returned run ends, resets the round report and draws the
+  /// run's trace id. Fails when no session is live.
+  [[nodiscard]] Result<ActiveRun> BeginRun();
+
+  /// A session's reply to the collect round.
+  struct Answer {
+    size_t session;
+    TupleBatchMsg reply;
+  };
+
+  /// The collect round every run opens with: one `kind` request carrying
+  /// `batch` to each of the `live` sessions, fanned out over the executor.
+  /// A session that fails as a straggler is dropped for the run; any other
+  /// failure fails it. Merges the round's wire cost into `metrics`, applies
+  /// RequireQuorum, and returns the answers in session order.
+  [[nodiscard]] Result<std::vector<Answer>> Collect(
+      const char* span_name, const std::vector<size_t>& live, RoundKind kind,
+      global::AggFunc func, const std::vector<Bytes>& batch,
+      global::Metrics* metrics);
+
+  /// Records how many of `sessions` answered the collect round and fails
+  /// the run unless at least Config::quorum of them did.
+  [[nodiscard]] Status RequireQuorum(size_t responders, size_t sessions,
+                                     global::Metrics* metrics);
+
+  /// One request/reply exchange on `s` under its next round id. The reply
+  /// must be a `Reply` (TupleBatchMsg or AggResultMsg); its token ops are
+  /// charged to `cost`.
+  template <typename Reply>
+  [[nodiscard]] Result<Reply> Exchange(Session* s, RoundKind kind,
+                                       global::AggFunc func,
+                                       std::vector<Bytes> batch,
+                                       WireCost* cost);
+
+  /// Drops `s` from the rest of the run as a straggler.
+  static void DropStraggler(Session* s);
 
   /// Sends `frame` on the session and waits for the reply carrying
   /// `round_id`, retrying per config on timeouts. Stale replies (a lower
@@ -237,10 +266,6 @@ class SsiServer {
 
   /// Applies Config::checksum_frames to an outgoing sealed v1 frame.
   [[nodiscard]] Bytes MaybeChecksum(Bytes frame) const;
-
-  /// True when `s` should be dropped from the run as a straggler for this
-  /// failure (timeout, dead transport, or a desynchronized byte stream).
-  [[nodiscard]] static bool IsStragglerFailure(const Status& s);
 
   Config config_;
   Clock* clock_;  // never null: Config::clock or the wall clock

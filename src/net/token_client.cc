@@ -1,11 +1,10 @@
 #include "net/token_client.h"
 
 #include <chrono>
-#include <map>
 #include <thread>
 #include <utility>
 
-#include "common/hash.h"
+#include "global/agg_steps.h"
 #include "global/integrity.h"
 #include "obs/obs.h"
 
@@ -13,33 +12,9 @@ namespace pds::net {
 
 namespace {
 
-/// Sum/count accumulation per group (mirrors agg_protocols.cc).
-struct GroupState {
-  double sum = 0;
-  uint64_t count = 0;
-};
-
 /// Bound on malformed frames tolerated per session before the client gives
 /// up on the stream — a hostile or broken SSI must not spin us forever.
 constexpr uint32_t kMaxMalformedFrames = 8;
-
-/// Decrypts a ciphertext batch into per-group partial aggregates, counting
-/// one token op per decryption — the identical inner loop of the in-process
-/// aggregate phase.
-Result<std::map<std::string, GroupState>> DecryptAndAggregate(
-    mcu::SecureToken* token, const std::vector<Bytes>& batch,
-    uint64_t* token_ops) {
-  std::map<std::string, GroupState> partial;
-  for (const Bytes& ct : batch) {
-    PDS_ASSIGN_OR_RETURN(Bytes payload, token->DecryptNonDet(ByteView(ct)));
-    ++*token_ops;
-    PDS_ASSIGN_OR_RETURN(global::AggPayload p,
-                         global::DecodeAggPayload(ByteView(payload)));
-    partial[p.group].sum += p.sum;
-    partial[p.group].count += p.count;
-  }
-  return partial;
-}
 
 /// A handler failure that indicts the REQUEST, not the session: answered
 /// with ErrorMsg{3} so the serve loop survives a malformed round.
@@ -47,6 +22,18 @@ bool IsRequestFault(const Status& s) {
   return s.code() == StatusCode::kInvalidArgument ||
          s.code() == StatusCode::kCorruption ||
          s.code() == StatusCode::kOutOfRange;
+}
+
+/// The public domain labels a round request carries from batch entry
+/// `first` on.
+std::vector<std::string> DomainLabels(const RoundRequestMsg& req,
+                                      size_t first) {
+  std::vector<std::string> domain;
+  domain.reserve(req.batch.size() - first);
+  for (size_t i = first; i < req.batch.size(); ++i) {
+    domain.push_back(ByteView(req.batch[i]).ToString());
+  }
+  return domain;
 }
 
 }  // namespace
@@ -179,44 +166,18 @@ Status TokenClient::MaybeChurn() {
 }
 
 Status TokenClient::HandleCollect(const RoundRequestMsg& req) {
-  mcu::SecureToken* tok = token();
   TupleBatchMsg reply;
   reply.round_id = req.header.round_id;
-  reply.batch.reserve(tuples_.size());
-  for (const global::SourceTuple& t : tuples_) {
-    Bytes payload = global::EncodeAggPayload(false, t.value, 1, t.group);
-    PDS_ASSIGN_OR_RETURN(Bytes ct, tok->EncryptNonDet(ByteView(payload)));
-    ++reply.token_ops;
-    reply.batch.push_back(std::move(ct));
-  }
+  PDS_ASSIGN_OR_RETURN(reply.batch, global::EncryptTuples(token(), tuples_,
+                                                          &reply.token_ops));
   return SendFrame(EncodeTupleBatch(reply));
 }
 
 Status TokenClient::HandlePackedCollect(const RoundRequestMsg& req) {
-  mcu::SecureToken* tok = token();
-  // The request's batch is the public group domain in slot order; fold
-  // this token's tuples into per-domain (sum, count) counters — exactly
-  // the in-process PackedPaillierProtocol pre-pass.
-  std::map<std::string, size_t> slot_of;
-  for (size_t i = 0; i < req.batch.size(); ++i) {
-    slot_of[ByteView(req.batch[i]).ToString()] = i;
-  }
-  std::vector<uint64_t> counters(2 * req.batch.size(), 0);
-  for (const global::SourceTuple& t : tuples_) {
-    auto it = slot_of.find(t.group);
-    if (it == slot_of.end()) {
-      return Status::InvalidArgument("tuple group outside the packed domain");
-    }
-    if (t.value < 0 ||
-        t.value != static_cast<double>(static_cast<uint64_t>(t.value))) {
-      return Status::InvalidArgument(
-          "packed round requires non-negative integer values");
-    }
-    counters[2 * it->second] += static_cast<uint64_t>(t.value);
-    counters[2 * it->second + 1] += 1;
-  }
+  PDS_ASSIGN_OR_RETURN(std::vector<uint64_t> counters,
+                       global::SlotCounters(tuples_, DomainLabels(req, 0)));
   PDS_ASSIGN_OR_RETURN(crypto::BigInt ct,
-                       tok->EncryptPacked(*config_.packed, counters));
+                       token()->EncryptPacked(*config_.packed, counters));
   TupleBatchMsg reply;
   reply.round_id = req.header.round_id;
   reply.token_ops = 1;  // one packed encryption, whatever the domain size
@@ -225,28 +186,19 @@ Status TokenClient::HandlePackedCollect(const RoundRequestMsg& req) {
 }
 
 Status TokenClient::HandleAggregate(const RoundRequestMsg& req) {
-  mcu::SecureToken* tok = token();
   TupleBatchMsg reply;
   reply.round_id = req.header.round_id;
-  PDS_ASSIGN_OR_RETURN(
-      auto partial, DecryptAndAggregate(tok, req.batch, &reply.token_ops));
-  reply.batch.reserve(partial.size());
-  for (const auto& [group, state] : partial) {
-    Bytes payload =
-        global::EncodeAggPayload(false, state.sum, state.count, group);
-    PDS_ASSIGN_OR_RETURN(Bytes ct, tok->EncryptNonDet(ByteView(payload)));
-    ++reply.token_ops;
-    reply.batch.push_back(std::move(ct));
-  }
+  PDS_ASSIGN_OR_RETURN(reply.batch, global::AggregatePartition(
+                                        token(), req.batch, &reply.token_ops));
   return SendFrame(EncodeTupleBatch(reply));
 }
 
 Status TokenClient::HandleFinalize(const RoundRequestMsg& req) {
-  mcu::SecureToken* tok = token();
   AggResultMsg reply;
   reply.round_id = req.header.round_id;
-  PDS_ASSIGN_OR_RETURN(
-      auto final_state, DecryptAndAggregate(tok, req.batch, &reply.token_ops));
+  global::GroupStates final_state;
+  PDS_RETURN_IF_ERROR(global::DecryptFold(token(), req.batch, &final_state,
+                                          &reply.token_ops));
   reply.entries.reserve(final_state.size());
   for (const auto& [group, state] : final_state) {
     reply.entries.push_back({group, state.sum, state.count});
@@ -263,116 +215,62 @@ Status TokenClient::HandleDetCollect(const RoundRequestMsg& req) {
                        DecodeDetParams(ByteView(req.batch[0])));
   TupleBatchMsg reply;
   reply.round_id = req.header.round_id;
-
+  std::vector<global::KeyedTuple> sent;
   if (params.variant == DetVariant::kHistogram) {
-    // Bucket id travels in plaintext (that IS the histogram leakage); the
-    // payload keeps the true group inside the non-deterministic ciphertext.
-    if (params.num_buckets == 0) {
-      return Status::InvalidArgument("histogram needs >= 1 bucket");
-    }
-    reply.batch.reserve(2 * tuples_.size());
-    for (const global::SourceTuple& t : tuples_) {
-      uint32_t bucket = static_cast<uint32_t>(
-          Fnv1a64(std::string_view(t.group)) % params.num_buckets);
-      Bytes key(4);
-      EncodeU32(key.data(), bucket);
-      Bytes payload = global::EncodeAggPayload(false, t.value, 1, t.group);
-      PDS_ASSIGN_OR_RETURN(Bytes ct, tok->EncryptNonDet(ByteView(payload)));
-      ++reply.token_ops;
-      reply.batch.push_back(std::move(key));
-      reply.batch.push_back(std::move(ct));
-    }
-    return SendFrame(EncodeTupleBatch(reply));
-  }
-
-  // White/domain noise: real tuples first, then this token's fakes —
-  // identical send-list order to the in-process RunDetProtocol.
-  std::vector<std::pair<std::string, double>> send_list;
-  for (const global::SourceTuple& t : tuples_) {
-    send_list.emplace_back(t.group, t.value);
-  }
-  const size_t real_count = send_list.size();
-  if (params.variant == DetVariant::kWhiteNoise) {
-    // The in-process protocol draws fake labels from one shared stream; on
-    // the wire each token seeds its own from (noise_seed, token id) and
-    // prefixes the id, so labels stay distinct across the fleet without
-    // any cross-token coordination.
-    Rng noise_rng(params.noise_seed + tok->id());
-    size_t n = static_cast<size_t>(static_cast<double>(real_count) *
-                                   params.noise_ratio);
-    for (size_t i = 0; i < n; ++i) {
-      send_list.emplace_back(std::string(global::kFakeGroupPrefix) +
-                                 std::to_string(tok->id()) + "-" +
-                                 std::to_string(noise_rng.Next()),
-                             0.0);
-    }
-  } else {  // kDomainNoise
-    if (req.batch.size() < 2) {
-      return Status::InvalidArgument("domain noise carries no domain");
-    }
-    // Real groups must belong to the announced domain.
-    for (size_t i = 0; i < real_count; ++i) {
-      bool in_domain = false;
-      for (size_t d = 1; d < req.batch.size() && !in_domain; ++d) {
-        in_domain = ByteView(req.batch[d]).ToString() == send_list[i].first;
+    PDS_ASSIGN_OR_RETURN(sent,
+                         global::HistogramEncrypt(tok, tuples_,
+                                                  params.num_buckets,
+                                                  &reply.token_ops));
+  } else {
+    // White/domain noise: real tuples first, then this token's fakes.
+    std::vector<global::SourceTuple> noise;
+    if (params.variant == DetVariant::kWhiteNoise) {
+      // The in-process protocol draws fake labels from one shared stream;
+      // on the wire each token seeds its own from (noise_seed, token id)
+      // and prefixes the id, so labels stay distinct across the fleet
+      // without any cross-token coordination.
+      Rng noise_rng(params.noise_seed + tok->id());
+      size_t n = static_cast<size_t>(static_cast<double>(tuples_.size()) *
+                                     params.noise_ratio);
+      for (size_t i = 0; i < n; ++i) {
+        noise.push_back({std::string(global::kFakeGroupPrefix) +
+                             std::to_string(tok->id()) + "-" +
+                             std::to_string(noise_rng.Next()),
+                         0.0});
       }
-      if (!in_domain) {
-        return Status::InvalidArgument("group outside the announced domain");
+    } else {  // kDomainNoise: batch entries 1.. are the domain labels
+      if (req.batch.size() < 2) {
+        return Status::InvalidArgument("domain noise carries no domain");
       }
+      PDS_ASSIGN_OR_RETURN(noise,
+                           global::DomainNoise(tuples_, DomainLabels(req, 1),
+                                               params.fakes_per_value));
     }
-    for (size_t d = 1; d < req.batch.size(); ++d) {
-      for (uint32_t i = 0; i < params.fakes_per_value; ++i) {
-        send_list.emplace_back(ByteView(req.batch[d]).ToString(), 0.0);
-      }
-    }
+    PDS_ASSIGN_OR_RETURN(
+        sent, global::DetEncrypt(tok, tuples_, noise, &reply.token_ops));
   }
-
-  reply.batch.reserve(2 * send_list.size());
-  for (size_t i = 0; i < send_list.size(); ++i) {
-    bool fake = i >= real_count;
-    const auto& [group, value] = send_list[i];
-    PDS_ASSIGN_OR_RETURN(Bytes key,
-                         tok->EncryptDet(ByteView(std::string_view(group))));
-    Bytes payload = global::EncodeAggPayload(fake, value, fake ? 0 : 1, "");
-    PDS_ASSIGN_OR_RETURN(Bytes ct, tok->EncryptNonDet(ByteView(payload)));
-    reply.token_ops += 2;
-    reply.batch.push_back(std::move(key));
-    reply.batch.push_back(std::move(ct));
+  reply.batch.reserve(2 * sent.size());
+  for (global::KeyedTuple& kt : sent) {
+    reply.batch.push_back(std::move(kt.key));
+    reply.batch.push_back(std::move(kt.payload_ct));
   }
   return SendFrame(EncodeTupleBatch(reply));
 }
 
 Status TokenClient::HandleClassAggregate(const RoundRequestMsg& req) {
-  mcu::SecureToken* tok = token();
   if (req.batch.empty()) {
     return Status::InvalidArgument("class aggregate carries no class key");
   }
   AggResultMsg reply;
   reply.round_id = req.header.round_id;
-  PDS_ASSIGN_OR_RETURN(Bytes group_plain,
-                       tok->DecryptDet(ByteView(req.batch[0])));
-  ++reply.token_ops;
-  std::string group = ByteView(group_plain).ToString();
-  const size_t n = req.batch.size() - 1;
-  if (group.rfind(global::kFakeGroupPrefix, 0) == 0) {
-    // Whole class is noise; discard inside the token (decrypt-and-drop op
-    // accounting mirrors the in-process class phase).
-    reply.token_ops += n;
-    return SendAggResult(reply);
+  PDS_ASSIGN_OR_RETURN(
+      global::ClassAggregate ca,
+      global::AggregateClass(token(), ByteView(req.batch[0]),
+                             std::span<const Bytes>(req.batch).subspan(1),
+                             &reply.token_ops));
+  if (!ca.noise) {
+    reply.entries.push_back({ca.group, ca.state.sum, ca.state.count});
   }
-  GroupState gs;
-  for (size_t i = 1; i < req.batch.size(); ++i) {
-    PDS_ASSIGN_OR_RETURN(Bytes payload,
-                         tok->DecryptNonDet(ByteView(req.batch[i])));
-    ++reply.token_ops;
-    PDS_ASSIGN_OR_RETURN(global::AggPayload p,
-                         global::DecodeAggPayload(ByteView(payload)));
-    if (!p.fake) {
-      gs.sum += p.sum;
-      gs.count += p.count;
-    }
-  }
-  reply.entries.push_back({group, gs.sum, gs.count});
   return SendAggResult(reply);
 }
 
@@ -380,14 +278,8 @@ Status TokenClient::HandleSealedCollect(const RoundRequestMsg& req) {
   mcu::SecureToken* tok = token();
   TupleBatchMsg reply;
   reply.round_id = req.header.round_id;
-  std::vector<Bytes> cts;
-  cts.reserve(tuples_.size());
-  for (const global::SourceTuple& t : tuples_) {
-    Bytes payload = global::EncodeAggPayload(false, t.value, 1, t.group);
-    PDS_ASSIGN_OR_RETURN(Bytes ct, tok->EncryptNonDet(ByteView(payload)));
-    ++reply.token_ops;
-    cts.push_back(std::move(ct));
-  }
+  PDS_ASSIGN_OR_RETURN(std::vector<Bytes> cts,
+                       global::EncryptTuples(tok, tuples_, &reply.token_ops));
   PDS_ASSIGN_OR_RETURN(std::vector<global::SealedTuple> sealed,
                        global::SealTuples(tok, tok->id(), cts));
   reply.token_ops += sealed.size();  // one MAC per sealed tuple

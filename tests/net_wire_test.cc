@@ -648,6 +648,216 @@ TEST(NetQuorumTest, RetryRecoversFlakyToken) {
 }
 
 // ---------------------------------------------------------------------------
+// Synchronous sessions: the token answers inside the SSI's Recv
+
+/// Server side of a session whose token runs pumped (TokenClient::PumpOnce)
+/// on the SSI's own thread: Recv first lets the token handle what the SSI
+/// sent, then polls for its answer. A reply is thus already buffered when
+/// the SSI waits for it, and a token that sends nothing times out at once
+/// instead of after a real deadline.
+class PumpedTransport : public Transport {
+ public:
+  PumpedTransport(std::unique_ptr<Transport> inner, TokenClient* client)
+      : inner_(std::move(inner)), client_(client) {}
+
+  Status Send(ByteView frame) override { return inner_->Send(frame); }
+  Result<Bytes> Recv(uint32_t deadline_ms) override {
+    (void)deadline_ms;
+    // PumpOnce handles one frame; a handshake ack and the next round
+    // request may be queued together.
+    for (int i = 0; i < 3; ++i) {
+      (void)client_->PumpOnce();
+      auto got = inner_->Recv(0);
+      if (got.ok() || got.status().code() != StatusCode::kDeadlineExceeded) {
+        return got;
+      }
+    }
+    return Status::DeadlineExceeded("token sent nothing");
+  }
+  void Close() override { inner_->Close(); }
+  bool closed() const override { return inner_->closed(); }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  TokenClient* client_;
+};
+
+/// Connects `fleet` through PumpedTransports. The first `silent` tokens
+/// swallow every round request, so they straggle in the collect round.
+std::vector<std::unique_ptr<TokenClient>> ConnectPumped(
+    SsiServer* server, TestFleet* fleet, size_t silent,
+    const crypto::PackedAggregate* packed = nullptr) {
+  std::vector<std::unique_ptr<TokenClient>> clients;
+  for (size_t i = 0; i < fleet->participants.size(); ++i) {
+    auto [server_end, client_end] = InProcessTransport::CreatePair();
+    TokenClient::Config cfg;
+    cfg.token = fleet->tokens[i].get();
+    cfg.tuples = fleet->participants[i].tuples;
+    cfg.packed = packed;
+    if (i < silent) {
+      cfg.faults.swallow_first = 1000;
+    }
+    auto client =
+        std::make_unique<TokenClient>(std::move(client_end), std::move(cfg));
+    EXPECT_TRUE(client->StartPumped().ok());
+    auto idx = server->AcceptSession(
+        std::make_unique<PumpedTransport>(std::move(server_end), client.get()));
+    EXPECT_TRUE(idx.ok()) << idx.status().ToString();
+    clients.push_back(std::move(client));
+  }
+  return clients;
+}
+
+TEST(NetDeadlineTest, OneMillisecondDeadlineReadsBufferedReply) {
+  // Every reply is buffered before the SSI waits for it, so even a 1 ms
+  // deadline must see it: the wait rounds up instead of down to zero.
+  TestFleet fleet = MakeTestFleet(4);
+  PackedContext ctx = MakePackedContext(4);
+  SsiServer::Config scfg;
+  scfg.verifier = fleet.verifier.get();
+  scfg.deadline_ms = 1;
+  scfg.max_retries = 0;
+  SsiServer server(scfg);
+  auto clients = ConnectPumped(&server, &fleet, 0, ctx.agg.get());
+  ASSERT_EQ(server.num_sessions(), 4u);
+  auto output =
+      server.RunPackedAggregation(AggFunc::kSum, *ctx.agg, ctx.domain);
+  server.Shutdown();
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+  EXPECT_EQ(server.last_report().responders, 4u);
+  EXPECT_EQ(server.last_report().deadline_hits, 0u);
+  EXPECT_EQ(output->groups,
+            global::PlainAggregate(fleet.participants, AggFunc::kSum));
+}
+
+enum class QuorumRun {
+  kSecure,
+  kPacked,
+  kWhiteNoise,
+  kDomainNoise,
+  kHistogram,
+  kSealed,
+};
+
+struct QuorumCase {
+  const char* name;
+  QuorumRun run;
+  size_t sessions;
+  double quorum;
+  size_t responders;
+  bool proceeds;
+};
+
+void PrintTo(const QuorumCase& c, std::ostream* os) { *os << c.name; }
+
+class NetQuorumBoundaryTest : public ::testing::TestWithParam<QuorumCase> {};
+
+TEST_P(NetQuorumBoundaryTest, ProceedsAtQuorumRefusesOneBelow) {
+  const QuorumCase& c = GetParam();
+  const size_t silent = c.sessions - c.responders;
+  TestFleet fleet = MakeTestFleet(c.sessions);
+  PackedContext ctx;
+  if (c.run == QuorumRun::kPacked) {
+    ctx = MakePackedContext(c.sessions);
+  }
+  SsiServer::Config scfg;
+  scfg.verifier = fleet.verifier.get();
+  scfg.partition_capacity = 16;
+  scfg.max_retries = 0;
+  scfg.quorum = c.quorum;
+  SsiServer server(scfg);
+  auto clients = ConnectPumped(&server, &fleet, silent, ctx.agg.get());
+
+  SsiServer::DetRunConfig det;
+  for (int i = 0; i < 5; ++i) {
+    det.domain.push_back("city-" + std::to_string(i));  // MakeTestFleet's
+  }
+  det.variant = c.run == QuorumRun::kDomainNoise ? DetVariant::kDomainNoise
+                : c.run == QuorumRun::kHistogram ? DetVariant::kHistogram
+                                                 : DetVariant::kWhiteNoise;
+  Result<global::AggOutput> output = Status::Internal("not run");
+  Status status = Status::Ok();
+  switch (c.run) {
+    case QuorumRun::kSecure:
+      output = server.RunSecureAggregation(AggFunc::kSum);
+      break;
+    case QuorumRun::kPacked:
+      output = server.RunPackedAggregation(AggFunc::kSum, *ctx.agg, ctx.domain);
+      break;
+    case QuorumRun::kSealed:
+      status = server.RunSealedCollect().status();
+      break;
+    default:
+      output = server.RunDetAggregation(AggFunc::kSum, det);
+      break;
+  }
+  if (c.run != QuorumRun::kSealed) {
+    status = output.status();
+  }
+  server.Shutdown();
+
+  if (c.proceeds) {
+    ASSERT_TRUE(status.ok()) << status.ToString();
+  } else {
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(status.message().find("quorum"), std::string::npos)
+        << status.ToString();
+  }
+  EXPECT_EQ(server.last_report().sessions, c.sessions);
+  EXPECT_EQ(server.last_report().responders, c.responders);
+  EXPECT_EQ(server.last_report().missing_tokens, silent);
+  auto tele = server.Telemetry();
+  ASSERT_EQ(tele.size(), c.sessions);
+  for (size_t i = 0; i < c.sessions; ++i) {
+    EXPECT_EQ(tele[i].stragglers, i < silent ? 1u : 0u) << "session " << i;
+  }
+  if (c.proceeds && c.run != QuorumRun::kSealed) {
+    // The aggregate covers exactly the responders.
+    std::vector<Participant> answered(fleet.participants.begin() + silent,
+                                      fleet.participants.end());
+    auto expected = global::PlainAggregate(answered, AggFunc::kSum);
+    ASSERT_EQ(output->groups.size(), expected.size());
+    for (const auto& [group, value] : expected) {
+      EXPECT_NEAR(output->groups[group], value, 1e-9) << group;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryRun, NetQuorumBoundaryTest,
+    ::testing::Values(
+        QuorumCase{"secure_at", QuorumRun::kSecure, 5, 0.6, 3, true},
+        QuorumCase{"secure_below", QuorumRun::kSecure, 5, 0.6, 2, false},
+        QuorumCase{"packed_at", QuorumRun::kPacked, 5, 0.6, 3, true},
+        QuorumCase{"packed_below", QuorumRun::kPacked, 5, 0.6, 2, false},
+        QuorumCase{"white_noise_at", QuorumRun::kWhiteNoise, 5, 0.6, 3, true},
+        QuorumCase{"white_noise_below", QuorumRun::kWhiteNoise, 5, 0.6, 2,
+                   false},
+        QuorumCase{"domain_noise_at", QuorumRun::kDomainNoise, 5, 0.6, 3,
+                   true},
+        QuorumCase{"domain_noise_below", QuorumRun::kDomainNoise, 5, 0.6, 2,
+                   false},
+        QuorumCase{"histogram_at", QuorumRun::kHistogram, 5, 0.6, 3, true},
+        QuorumCase{"histogram_below", QuorumRun::kHistogram, 5, 0.6, 2,
+                   false},
+        QuorumCase{"sealed_at", QuorumRun::kSealed, 5, 0.6, 3, true},
+        QuorumCase{"sealed_below", QuorumRun::kSealed, 5, 0.6, 2, false},
+        // Quorums whose product with the fleet size is an integer only in
+        // decimal: 0.56 * 25 evaluates to 14.000000000000002 and
+        // 0.55 * 100 to 55.00000000000001, yet 14 and 55 meet them.
+        QuorumCase{"decimal_14_of_25", QuorumRun::kSecure, 25, 0.56, 14,
+                   true},
+        QuorumCase{"decimal_13_of_25", QuorumRun::kSecure, 25, 0.56, 13,
+                   false},
+        QuorumCase{"decimal_55_of_100", QuorumRun::kSecure, 100, 0.55, 55,
+                   true},
+        QuorumCase{"decimal_54_of_100", QuorumRun::kSecure, 100, 0.55, 54,
+                   false}),
+    [](const ::testing::TestParamInfo<QuorumCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// ---------------------------------------------------------------------------
 // Handshake
 
 TEST(NetHandshakeTest, AcceptsFleetMember) {
