@@ -1,23 +1,12 @@
 #include "global/agg_steps.h"
 
+#include <map>
 #include <set>
 #include <utility>
 
 #include "common/hash.h"
 
 namespace pds::global {
-
-std::vector<std::vector<size_t>> RoundRobin(size_t num_units,
-                                            size_t num_tokens, size_t first) {
-  std::vector<std::vector<size_t>> by_token(num_tokens);
-  for (auto& units : by_token) {
-    units.reserve(num_units / num_tokens + 1);
-  }
-  for (size_t u = 0; u < num_units; ++u) {
-    by_token[(first + u) % num_tokens].push_back(u);
-  }
-  return by_token;
-}
 
 Result<std::vector<Bytes>> EncryptTuples(mcu::SecureToken* token,
                                          const std::vector<SourceTuple>& tuples,
@@ -156,36 +145,6 @@ Result<std::vector<KeyedTuple>> HistogramEncrypt(
                          token->EncryptNonDet(ByteView(payload)));
     ++*token_ops;
     out.push_back(std::move(kt));
-  }
-  return out;
-}
-
-Result<std::vector<KeyClass>> GroupByKey(
-    std::vector<std::vector<KeyedTuple>>* sent, bool histogram,
-    HbcObserver* observer, uint64_t* ssi_ops) {
-  // Ordered by (bucket number, key bytes): one of the two is constant.
-  std::map<std::pair<uint32_t, std::string>, KeyClass> classes;
-  for (std::vector<KeyedTuple>& tuples : *sent) {
-    for (KeyedTuple& kt : tuples) {
-      observer->ObserveTuple(ByteView(kt.key));
-      ++*ssi_ops;
-      if (histogram && kt.key.size() != 4) {
-        return Status::Corruption("histogram bucket key must be 4 bytes");
-      }
-      KeyClass& c = classes[histogram ? std::pair(GetU32(kt.key.data()),
-                                                  std::string())
-                                      : std::pair(0u, ByteView(kt.key)
-                                                          .ToString())];
-      if (c.payloads.empty()) {
-        c.key = std::move(kt.key);
-      }
-      c.payloads.push_back(std::move(kt.payload_ct));
-    }
-  }
-  std::vector<KeyClass> out;
-  out.reserve(classes.size());
-  for (auto& [order, c] : classes) {
-    out.push_back(std::move(c));
   }
   return out;
 }

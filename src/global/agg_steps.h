@@ -2,7 +2,6 @@
 #define PDS_GLOBAL_AGG_STEPS_H_
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -10,28 +9,19 @@
 #include "common/bytes.h"
 #include "common/result.h"
 #include "global/common.h"
-#include "global/observer.h"
 #include "mcu/secure_token.h"
 
-/// The steps of the [TNP14] protocols, one function per step.
+/// The token side of the [TNP14] protocols, one function per step.
 /// The in-process protocols (agg_protocols.cc) and the wire token
-/// (net/token_client.cc) both run their rounds through these, so a round's
-/// token work is written once. What differs between the two callers is how
-/// a step's inputs arrive and its outputs leave: each keeps its own message
-/// and byte accounting around the step.
+/// (net/token_client.cc) both run their token work through these, so a
+/// round's token work is written once. The SSI side is written once too:
+/// the round drivers in global/agg_rounds.h call these steps through a
+/// channel, directly on the token in-process, or as a framed request the
+/// wire token answers with the same step.
 ///
-/// Every token step runs inside one token and adds the cryptographic
-/// operations it spends to `*token_ops`. RoundRobin and GroupByKey are the
-/// SSI's side of a round.
+/// Every step runs inside one token and adds the cryptographic operations
+/// it spends to `*token_ops`.
 namespace pds::global {
-
-/// Distributes `num_units` round-robin over `num_tokens` starting at
-/// `first`: unit u goes to token (first + u) % num_tokens. One work unit
-/// per token then runs its units in increasing order, so each token's RNG
-/// and op counters advance exactly as in a serial round-robin loop.
-[[nodiscard]] std::vector<std::vector<size_t>> RoundRobin(size_t num_units,
-                                                          size_t num_tokens,
-                                                          size_t first);
 
 /// Collect step of the secure and sealed rounds: one non-deterministic
 /// ciphertext per tuple, carrying (group, value, count 1).
@@ -86,20 +76,6 @@ struct KeyedTuple {
 [[nodiscard]] Result<std::vector<KeyedTuple>> HistogramEncrypt(
     mcu::SecureToken* token, const std::vector<SourceTuple>& tuples,
     uint32_t num_buckets, uint64_t* token_ops);
-
-/// One equality class the SSI formed over keyed tuples.
-struct KeyClass {
-  Bytes key;                    // the key every tuple of the class carried
-  std::vector<Bytes> payloads;  // their payload ciphertexts, arrival order
-};
-
-/// SSI step of the keyed protocols: groups every participant's tuples, in
-/// participant order, into classes in key order: by ciphertext bytes, or
-/// for a histogram by the 4-byte key read as a bucket number. The observer
-/// sees every key, and every tuple costs one SSI op.
-[[nodiscard]] Result<std::vector<KeyClass>> GroupByKey(
-    std::vector<std::vector<KeyedTuple>>* sent, bool histogram,
-    HbcObserver* observer, uint64_t* ssi_ops);
 
 /// One aggregated equality class of a noise protocol.
 struct ClassAggregate {

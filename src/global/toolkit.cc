@@ -4,7 +4,6 @@
 #include <map>
 
 #include "crypto/sra.h"
-#include "obs/obs.h"
 
 namespace pds::global {
 
@@ -301,114 +300,6 @@ Result<uint64_t> PaillierFleetSum(const std::vector<uint64_t>& site_values,
     ++metrics->rounds;
   }
   return sum;
-}
-
-namespace {
-
-Status CheckCounterMatrix(const std::vector<std::vector<uint64_t>>& rows) {
-  if (rows.empty() || rows[0].empty()) {
-    return Status::InvalidArgument("fleet round needs sites and counters");
-  }
-  for (const auto& row : rows) {
-    if (row.size() != rows[0].size()) {
-      return Status::InvalidArgument("ragged counter matrix");
-    }
-  }
-  return Status::Ok();
-}
-
-/// Fleet-wide accumulators for the round benches: how many asymmetric
-/// cipher operations each gear spent per aggregation round.
-struct RoundObs {
-  obs::Counter* perop_rounds;
-  obs::Counter* perop_cipher_ops;
-  obs::Counter* packed_rounds;
-  obs::Counter* packed_cipher_ops;
-
-  static const RoundObs& Get() {
-    static const RoundObs hooks = [] {
-      obs::Registry& reg = obs::Registry::Global();
-      return RoundObs{reg.GetCounter("round.perop.rounds", "ops"),
-                      reg.GetCounter("round.perop.cipher_ops", "ops"),
-                      reg.GetCounter("round.packed.rounds", "ops"),
-                      reg.GetCounter("round.packed.cipher_ops", "ops")};
-    }();
-    return hooks;
-  }
-};
-
-}  // namespace
-
-Result<PackedRoundOutput> PaillierPerOpFleetRound(
-    const crypto::Paillier& paillier,
-    const std::vector<std::vector<uint64_t>>& site_counters, Rng* rng,
-    Metrics* metrics, FleetExecutor* exec) {
-  PDS_RETURN_IF_ERROR(CheckCounterMatrix(site_counters));
-  const size_t fleet = site_counters.size();
-  const size_t k = site_counters[0].size();
-  PackedRoundOutput out;
-  out.totals.resize(k);
-  const size_t ct_bytes = paillier.public_key().n_squared.ToBytes().size();
-  for (size_t j = 0; j < k; ++j) {
-    std::vector<uint64_t> column(fleet);
-    for (size_t i = 0; i < fleet; ++i) {
-      column[i] = site_counters[i][j];
-    }
-    PDS_ASSIGN_OR_RETURN(std::vector<crypto::BigInt> cts,
-                         ParallelEncrypt(paillier, column, rng, exec));
-    crypto::BigInt acc = std::move(cts[0]);
-    for (size_t i = 1; i < cts.size(); ++i) {
-      acc = paillier.AddCiphertexts(acc, cts[i]);
-      ++out.metrics.ssi_ops;
-    }
-    PDS_ASSIGN_OR_RETURN(out.totals[j], paillier.DecryptU64(acc));
-    out.metrics.token_crypto_ops += fleet + 1;
-    out.metrics.bytes_token_to_ssi += fleet * ct_bytes;
-    out.metrics.messages += fleet;
-    out.metrics.bytes += fleet * ct_bytes;
-  }
-  ++out.metrics.rounds;
-  const RoundObs& hooks = RoundObs::Get();
-  hooks.perop_rounds->Add(1);
-  hooks.perop_cipher_ops->Add(out.metrics.token_crypto_ops);
-  if (metrics != nullptr) {
-    *metrics = out.metrics;
-  }
-  return out;
-}
-
-Result<PackedRoundOutput> PaillierPackedFleetRound(
-    const crypto::PackedAggregate& agg,
-    const std::vector<std::vector<uint64_t>>& site_counters, Rng* rng,
-    Metrics* metrics) {
-  PDS_RETURN_IF_ERROR(CheckCounterMatrix(site_counters));
-  const size_t fleet = site_counters.size();
-  PDS_RETURN_IF_ERROR(agg.CheckAddBudget(fleet));
-  PackedRoundOutput out;
-  // One lockstep batch over the whole fleet: the window tables and digit
-  // decodes are shared and four r^n ladders advance per kernel call.
-  PDS_ASSIGN_OR_RETURN(std::vector<crypto::BigInt> cts,
-                       agg.EncryptPackedBatch(site_counters, rng));
-  crypto::BigInt acc = std::move(cts[0]);
-  for (size_t i = 1; i < cts.size(); ++i) {
-    acc = agg.Add(acc, cts[i]);
-    ++out.metrics.ssi_ops;
-  }
-  PDS_ASSIGN_OR_RETURN(out.totals, agg.DecryptUnpack(acc));
-  const size_t ct_bytes =
-      agg.paillier().public_key().n_squared.ToBytes().size();
-  out.metrics.token_crypto_ops += fleet + 1;
-  out.metrics.bytes_token_to_ssi += fleet * ct_bytes;
-  out.metrics.messages += fleet;
-  out.metrics.bytes += fleet * ct_bytes;
-  ++out.metrics.rounds;
-  const RoundObs& hooks = RoundObs::Get();
-  hooks.packed_rounds->Add(1);
-  hooks.packed_cipher_ops->Add(out.metrics.token_crypto_ops);
-  if (metrics != nullptr) {
-    *metrics = out.metrics;
-  }
-  return out;
 }
 
 }  // namespace pds::global

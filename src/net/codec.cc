@@ -1,5 +1,6 @@
 #include "net/codec.h"
 
+#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -397,6 +398,9 @@ Result<DetParams> DecodeDetParams(ByteView blob) {
   p.variant = static_cast<DetVariant>(variant);
   uint64_t bits = GetU64(blob.data() + 1);
   std::memcpy(&p.noise_ratio, &bits, 8);
+  if (!std::isfinite(p.noise_ratio) || p.noise_ratio < 0) {
+    return Status::Corruption("det noise ratio must be finite and >= 0");
+  }
   p.noise_seed = GetU64(blob.data() + 9);
   p.fakes_per_value = GetU32(blob.data() + 17);
   p.num_buckets = GetU32(blob.data() + 21);

@@ -286,7 +286,7 @@ struct FrameHeader {
 [[nodiscard]] Bytes EncodeDetParams(const DetParams& p);
 
 /// Decodes a DetParams blob; the blob must be exactly kDetParamsSize bytes
-/// with a known variant.
+/// with a known variant and a finite, non-negative noise ratio.
 [[nodiscard]] Result<DetParams> DecodeDetParams(ByteView blob);
 
 /// Validates magic/version/type and that the declared payload length is

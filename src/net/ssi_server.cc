@@ -72,23 +72,6 @@ const uint32_t* ReplyRoundId(const Message& m) {
 
 }  // namespace
 
-/// Per-work-unit wire accounting, merged into the run's Metrics in index
-/// order afterwards (every field is a sum, so ordered merging reproduces
-/// serial counters exactly).
-struct SsiServer::WireCost {
-  Metrics wire;
-  uint64_t deadline_hits = 0;
-  uint64_t retries = 0;
-  uint64_t frame_rejects = 0;
-
-  void MergeInto(Metrics* m, RoundReport* r) const {
-    m->Merge(wire);
-    r->deadline_hits += deadline_hits;
-    r->retries += retries;
-    r->frame_rejects += frame_rejects;
-  }
-};
-
 /// A protocol run in flight: the sessions live when it began, and the
 /// readmission refusal that lasts as long as the run.
 struct SsiServer::ActiveRun {
@@ -191,7 +174,8 @@ Result<size_t> SsiServer::ReadmitSession(
 }
 
 Result<Message> SsiServer::RoundTrip(Session* s, const Bytes& frame,
-                                     uint32_t round_id, WireCost* cost) {
+                                     uint32_t round_id,
+                                     global::RoundCost* cost) {
   const NetObs& hooks = NetHooks();
   // One span per logical round trip (retries included). When recorded, its
   // id rides the wire as the trace-context parent so the token's handler
@@ -235,7 +219,7 @@ Result<Message> SsiServer::RoundTrip(Session* s, const Bytes& frame,
     }
     uint64_t attempt_start_ns = clock_->NowNs();
     PDS_RETURN_IF_ERROR(s->transport->Send(*wire_frame));
-    cost->wire.AddSsiToToken(wire_frame->size());
+    cost->metrics.AddSsiToToken(wire_frame->size());
     hooks.frames_sent->Add(1);
 
     const uint64_t deadline_ns =
@@ -258,7 +242,7 @@ Result<Message> SsiServer::RoundTrip(Session* s, const Bytes& frame,
         return recv.status();
       }
       Bytes reply = std::move(recv).value();
-      cost->wire.AddTokenToSsi(reply.size());
+      cost->metrics.AddTokenToSsi(reply.size());
       hooks.frames_received->Add(1);
       auto decoded = DecodeMessage(reply);
       if (!decoded.ok()) {
@@ -338,7 +322,8 @@ void SsiServer::DropStraggler(Session* s) {
 
 template <typename Reply>
 Result<Reply> SsiServer::Exchange(Session* s, RoundKind kind, AggFunc func,
-                                  std::vector<Bytes> batch, WireCost* cost) {
+                                  std::vector<Bytes> batch,
+                                  global::RoundCost* cost) {
   RoundRequestMsg req;
   req.header.round_id = s->next_round_id++;
   req.header.kind = kind;
@@ -353,7 +338,7 @@ Result<Reply> SsiServer::Exchange(Session* s, RoundKind kind, AggFunc func,
         "round " + std::to_string(req.header.round_id) +
         " was answered with the wrong message type");
   }
-  cost->wire.token_crypto_ops += body->token_ops;
+  cost->metrics.token_crypto_ops += body->token_ops;
   return std::move(*body);
 }
 
@@ -362,7 +347,7 @@ Result<std::vector<SsiServer::Answer>> SsiServer::Collect(
     AggFunc func, const std::vector<Bytes>& batch, Metrics* metrics) {
   obs::Span phase_span(span_name, "net");
   const size_t nl = live.size();
-  std::vector<WireCost> costs(nl);
+  std::vector<global::RoundCost> costs(nl);
   std::vector<std::optional<TupleBatchMsg>> replies(nl);
   PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
       config_.executor, nl, [&](size_t li) -> Status {
@@ -380,7 +365,7 @@ Result<std::vector<SsiServer::Answer>> SsiServer::Collect(
   std::vector<Answer> answers;
   answers.reserve(nl);
   for (size_t li = 0; li < nl; ++li) {
-    costs[li].MergeInto(metrics, &report_);
+    Charge(costs[li], metrics);
     if (replies[li].has_value()) {
       answers.push_back({live[li], std::move(*replies[li])});
     }
@@ -388,6 +373,13 @@ Result<std::vector<SsiServer::Answer>> SsiServer::Collect(
   ++metrics->rounds;
   PDS_RETURN_IF_ERROR(RequireQuorum(answers.size(), nl, metrics));
   return answers;
+}
+
+void SsiServer::Charge(const global::RoundCost& cost, Metrics* metrics) {
+  metrics->Merge(cost.metrics);
+  report_.deadline_hits += cost.deadline_hits;
+  report_.retries += cost.retries;
+  report_.frame_rejects += cost.frame_rejects;
 }
 
 Status SsiServer::RequireQuorum(size_t responders, size_t sessions,
@@ -417,128 +409,124 @@ Status SsiServer::RequireQuorum(size_t responders, size_t sessions,
       std::to_string(need));
 }
 
+/// The round drivers' channel over the wire: responder r is the session
+/// that answered the collect round r-th, each token step is one framed
+/// request to it, and each unit is charged the frames it sent and received.
+class SsiServer::Channel final : public global::RoundChannel {
+ public:
+  Channel(SsiServer* server, const std::vector<Answer>& answers, AggFunc func)
+      : server_(server), answers_(answers), func_(func) {}
+
+  size_t size() const override { return answers_.size(); }
+  global::FleetExecutor* executor() const override {
+    return server_->config_.executor;
+  }
+  void Charge(const global::RoundCost& cost, Metrics* metrics) override {
+    server_->Charge(cost, metrics);
+  }
+
+  Result<std::vector<std::vector<Bytes>>> AggregatePartitions(
+      size_t r, std::span<const global::Partition> parts,
+      global::RoundCost* cost) override {
+    Session* s = session(r);
+    // Announce this session's slice of the layout, then stream its
+    // partitions in order.
+    PartitionMapMsg pm;
+    pm.round_id = s->next_round_id;
+    pm.parts.reserve(parts.size());
+    for (const global::Partition& p : parts) {
+      pm.parts.push_back({static_cast<uint32_t>(p.index),
+                          static_cast<uint32_t>(r),
+                          static_cast<uint32_t>(p.items.size())});
+    }
+    Bytes pm_frame = server_->MaybeChecksum(EncodePartitionMap(pm));
+    PDS_RETURN_IF_ERROR(s->transport->Send(pm_frame));
+    cost->metrics.AddSsiToToken(pm_frame.size());
+    NetHooks().frames_sent->Add(1);
+
+    std::vector<std::vector<Bytes>> out;
+    out.reserve(parts.size());
+    for (const global::Partition& p : parts) {
+      PDS_ASSIGN_OR_RETURN(
+          TupleBatchMsg batch,
+          server_->Exchange<TupleBatchMsg>(s, RoundKind::kAggregate, func_,
+                                           {p.items.begin(), p.items.end()},
+                                           cost));
+      out.push_back(std::move(batch.batch));
+    }
+    return out;
+  }
+
+  Result<global::GroupStates> AggregateUnit(size_t r,
+                                            const global::KeyClass& unit,
+                                            bool fold,
+                                            global::RoundCost* cost) override {
+    // [payloads...] for a kFinalize fold, [key, payloads...] for a class.
+    std::vector<Bytes> batch;
+    batch.reserve(unit.payloads.size() + 1);
+    if (!fold) {
+      batch.push_back(unit.key);
+    }
+    batch.insert(batch.end(), unit.payloads.begin(), unit.payloads.end());
+    PDS_ASSIGN_OR_RETURN(
+        AggResultMsg result,
+        server_->Exchange<AggResultMsg>(
+            session(r),
+            fold ? RoundKind::kFinalize : RoundKind::kClassAggregate, func_,
+            std::move(batch), cost));
+    global::GroupStates states;
+    for (const AggResultEntry& e : result.entries) {
+      states[e.group].sum += e.sum;
+      states[e.group].count += e.count;
+    }
+    return states;
+  }
+
+  bool Drop(size_t r, const Status& s) override {
+    if (!IsStragglerFailure(s)) {
+      return false;
+    }
+    DropStraggler(session(r));
+    return true;
+  }
+
+ private:
+  Session* session(size_t r) const {
+    return server_->sessions_[answers_[r].session].get();
+  }
+
+  SsiServer* server_;
+  const std::vector<Answer>& answers_;
+  AggFunc func_;
+};
+
 Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
   PDS_ASSIGN_OR_RETURN(ActiveRun run, BeginRun());
-  AggOutput out;
+  Metrics metrics;
   global::HbcObserver observer;
   obs::Span protocol_span("net.secure-agg", "net");
   protocol_span.AddArg("sessions", static_cast<double>(run.live.size()));
 
-  // Phase 1: collect — every live token encrypts and sends its authorized
-  // tuples. Stragglers past the retry budget are tolerated down to the
-  // quorum.
+  // Collect: every live token encrypts and sends its authorized tuples;
+  // stragglers are tolerated down to the quorum. A token that vanishes
+  // after that takes its partition's data with it, so the partition rounds
+  // have no quorum: retry, then fail the run.
   PDS_ASSIGN_OR_RETURN(std::vector<Answer> answers,
                        Collect("net.collect", run.live, RoundKind::kCollect,
-                               func, {}, &out.metrics));
-  std::vector<Bytes> items;
+                               func, {}, &metrics));
+  std::vector<std::vector<Bytes>> sent;
+  sent.reserve(answers.size());
   for (Answer& a : answers) {
-    for (Bytes& ct : a.reply.batch) {
-      observer.ObserveTuple(ByteView(ct));
-      items.push_back(std::move(ct));
-    }
+    sent.push_back(std::move(a.reply.batch));
   }
-
-  // Phase 2: iterative partition-and-aggregate over the responding tokens,
-  // partitions round-robin in session order exactly as the in-process
-  // protocol assigns them to participants. A token that vanishes now takes
-  // its partition's data with it, so this phase has no quorum: retry, then
-  // fail the run.
-  const size_t na = answers.size();
-  size_t worker = 0;
-  while (items.size() > config_.partition_capacity) {
-    obs::Span phase_span("net.aggregate-round", "net");
-    phase_span.AddArg("items", static_cast<double>(items.size()));
-    size_t before = items.size();
-    const size_t cap = config_.partition_capacity;
-    const size_t num_parts = (items.size() + cap - 1) / cap;
-    std::vector<std::vector<size_t>> parts_by_session =
-        global::RoundRobin(num_parts, na, worker);
-    worker += num_parts;
-
-    struct PartOut {
-      std::vector<Bytes> cts;
-      WireCost cost;
-    };
-    std::vector<PartOut> parts(num_parts);
-    std::vector<WireCost> map_cost(na);
-    auto partition = [&](size_t pi) {
-      return std::span<const Bytes>(items).subspan(
-          pi * cap, std::min(cap, items.size() - pi * cap));
-    };
-    PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
-        config_.executor, na, [&](size_t ai) -> Status {
-          if (parts_by_session[ai].empty()) {
-            return Status::Ok();
-          }
-          Session* s = sessions_[answers[ai].session].get();
-          // Announce this session's slice of the layout, then stream its
-          // partitions in increasing order (token RNG order).
-          PartitionMapMsg pm;
-          pm.round_id = s->next_round_id;
-          pm.parts.reserve(parts_by_session[ai].size());
-          for (size_t pi : parts_by_session[ai]) {
-            pm.parts.push_back(
-                {static_cast<uint32_t>(pi), static_cast<uint32_t>(ai),
-                 static_cast<uint32_t>(partition(pi).size())});
-          }
-          Bytes pm_frame = MaybeChecksum(EncodePartitionMap(pm));
-          PDS_RETURN_IF_ERROR(s->transport->Send(pm_frame));
-          map_cost[ai].wire.AddSsiToToken(pm_frame.size());
-          NetHooks().frames_sent->Add(1);
-
-          for (size_t pi : parts_by_session[ai]) {
-            std::span<const Bytes> part = partition(pi);
-            PDS_ASSIGN_OR_RETURN(
-                TupleBatchMsg batch,
-                Exchange<TupleBatchMsg>(s, RoundKind::kAggregate, func,
-                                        {part.begin(), part.end()},
-                                        &parts[pi].cost));
-            parts[pi].cts = std::move(batch.batch);
-          }
-          return Status::Ok();
-        }));
-
-    std::vector<Bytes> next;
-    next.reserve(items.size());
-    for (size_t ai = 0; ai < na; ++ai) {
-      map_cost[ai].MergeInto(&out.metrics, &report_);
-    }
-    for (size_t pi = 0; pi < num_parts; ++pi) {
-      parts[pi].cost.MergeInto(&out.metrics, &report_);
-      for (Bytes& ct : parts[pi].cts) {
-        observer.ObserveTuple(ByteView(ct));
-        next.push_back(std::move(ct));
-      }
-      ++out.metrics.ssi_ops;  // partition bookkeeping
-    }
-    ++out.metrics.rounds;
-    if (next.size() >= before) {
-      return Status::InvalidArgument(
-          "partition capacity too small for the number of distinct groups");
-    }
-    items = std::move(next);
-  }
-
-  // Phase 3: final aggregation inside the first responding token.
-  obs::Span final_span("net.finalize", "net");
-  final_span.AddArg("items", static_cast<double>(items.size()));
-  WireCost final_cost;
+  Channel channel(this, answers, func);
   PDS_ASSIGN_OR_RETURN(
-      AggResultMsg result,
-      Exchange<AggResultMsg>(sessions_[answers[0].session].get(),
-                             RoundKind::kFinalize, func, std::move(items),
-                             &final_cost));
-  final_cost.MergeInto(&out.metrics, &report_);
-  ++out.metrics.rounds;
-
-  global::GroupStates final_state;
-  for (const AggResultEntry& e : result.entries) {
-    final_state[e.group].sum += e.sum;
-    final_state[e.group].count += e.count;
-  }
-  out.groups = global::Finalize(final_state, func);
-  out.leakage = observer.Report();
-  global::RecordProtocolRun("net-secure-agg", out.metrics, out.leakage);
+      global::GroupStates state,
+      global::RunPartitionRounds(&channel, std::move(sent),
+                                 config_.partition_capacity, &observer,
+                                 &metrics));
+  AggOutput out =
+      global::FinishRun("net-secure-agg", state, func, metrics, observer);
   stats_ring_.Capture(obs::Registry::Global());
   return out;
 }
@@ -557,7 +545,7 @@ Result<AggOutput> SsiServer::RunPackedAggregation(
         "packed layout does not match the domain (need 2 slots per value)");
   }
   PDS_ASSIGN_OR_RETURN(ActiveRun run, BeginRun());
-  AggOutput out;
+  Metrics metrics;
   global::HbcObserver observer;
   obs::Span protocol_span("net.packed-paillier", "net");
   protocol_span.AddArg("sessions", static_cast<double>(run.live.size()));
@@ -573,12 +561,11 @@ Result<AggOutput> SsiServer::RunPackedAggregation(
   PDS_ASSIGN_OR_RETURN(
       std::vector<Answer> answers,
       Collect("net.packed-collect", run.live, RoundKind::kPackedCollect, func,
-              labels, &out.metrics));
-
-  // SSI: blind homomorphic fold of the responders' ciphertexts.
-  crypto::BigInt acc;
-  for (size_t i = 0; i < answers.size(); ++i) {
-    const std::vector<Bytes>& batch = answers[i].reply.batch;
+              labels, &metrics));
+  std::vector<crypto::BigInt> cts;
+  cts.reserve(answers.size());
+  for (const Answer& a : answers) {
+    const std::vector<Bytes>& batch = a.reply.batch;
     if (batch.size() != 1) {
       return Status::FailedPrecondition(
           "packed round expected exactly one ciphertext");
@@ -587,33 +574,14 @@ Result<AggOutput> SsiServer::RunPackedAggregation(
       return Status::Corruption(
           "packed ciphertext exceeds kMaxPackedCiphertextBytes");
     }
-    crypto::BigInt ct = crypto::BigInt::FromBytes(ByteView(batch[0]));
-    observer.ObserveTuple(ByteView(ct.ToBytes()));
-    if (i == 0) {
-      acc = std::move(ct);
-    } else {
-      acc = agg.Add(acc, ct);
-      ++out.metrics.ssi_ops;
-    }
+    cts.push_back(crypto::BigInt::FromBytes(ByteView(batch[0])));
   }
-  PDS_RETURN_IF_ERROR(agg.CheckAddBudget(answers.size()));
-
-  // Querier: one decrypt-unpack yields every (sum, count) total.
-  // pdslint: declassify(the querier role decrypts only the aggregate sum
-  // and count per slot -- the protocol's intended output, never a per-token
-  // value; [TNP14] section 4's HbC guarantee is exactly this boundary)
-  PDS_ASSIGN_OR_RETURN(std::vector<uint64_t> totals, agg.DecryptUnpack(acc));
-  ++out.metrics.token_crypto_ops;
-
-  global::GroupStates state;
-  for (size_t i = 0; i < domain.size(); ++i) {
-    global::GroupState& gs = state[domain[i]];
-    gs.sum = static_cast<double>(totals[2 * i]);
-    gs.count = totals[2 * i + 1];
-  }
-  out.groups = global::Finalize(state, func);
-  out.leakage = observer.Report();
-  global::RecordProtocolRun("net-packed-paillier", out.metrics, out.leakage);
+  Channel channel(this, answers, func);
+  PDS_ASSIGN_OR_RETURN(global::GroupStates state,
+                       global::RunPackedFold(&channel, agg, cts, domain,
+                                             &observer, &metrics));
+  AggOutput out =
+      global::FinishRun("net-packed-paillier", state, func, metrics, observer);
   stats_ring_.Capture(obs::Registry::Global());
   return out;
 }
@@ -627,25 +595,24 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
     return Status::InvalidArgument("histogram run requires num_buckets >= 1");
   }
   PDS_ASSIGN_OR_RETURN(ActiveRun run, BeginRun());
-  AggOutput out;
+  Metrics metrics;
   global::HbcObserver observer;
   obs::Span protocol_span("net.det-agg", "net");
   protocol_span.AddArg("sessions", static_cast<double>(run.live.size()));
   protocol_span.AddArg("variant", static_cast<double>(det.variant));
 
-  // Phase 1: kDetCollect fan-out. Batch entry 0 carries the public round
-  // parameters; domain-noise rounds append the domain labels.
+  // Batch entry 0 carries the public round parameters; domain-noise rounds
+  // append the domain labels.
   std::vector<Bytes> request{EncodeDetParams(det)};
   if (det.variant == DetVariant::kDomainNoise) {
     for (const std::string& g : det.domain) {
       request.push_back(ByteView(std::string_view(g)).ToBytes());
     }
   }
-  const bool histogram = det.variant == DetVariant::kHistogram;
   PDS_ASSIGN_OR_RETURN(
       std::vector<Answer> answers,
       Collect("net.det-collect", run.live, RoundKind::kDetCollect, func,
-              request, &out.metrics));
+              request, &metrics));
   std::vector<std::vector<global::KeyedTuple>> sent(answers.size());
   for (size_t i = 0; i < answers.size(); ++i) {
     std::vector<Bytes>& batch = answers[i].reply.batch;
@@ -658,107 +625,16 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
       sent[i].push_back({std::move(batch[k]), std::move(batch[k + 1])});
     }
   }
-  PDS_ASSIGN_OR_RETURN(std::vector<global::KeyClass> classes,
-                       global::GroupByKey(&sent, histogram, &observer,
-                                          &out.metrics.ssi_ops));
-
-  // Phase 2: one class (bucket) aggregation request per equality class,
-  // distributed round-robin over the responding sessions in class order —
-  // identical to the in-process protocol's unit assignment. A session that
-  // vanishes mid-phase fails over: its unfinished classes go to the next
-  // live responder.
-  const size_t na = answers.size();
-  const size_t num_units = classes.size();
-  std::vector<AggResultMsg> results(num_units);
-  std::vector<uint8_t> done(num_units, 0);
-  std::vector<WireCost> unit_cost(num_units);
-  std::vector<std::vector<size_t>> by_session =
-      global::RoundRobin(num_units, na, 0);
-
-  auto run_unit = [&](Session* s, size_t ui) -> Status {
-    // [key, payloads...] for a class, [payloads...] for a bucket.
-    std::vector<Bytes> batch;
-    batch.reserve(classes[ui].payloads.size() + 1);
-    if (!histogram) {
-      batch.push_back(classes[ui].key);
-    }
-    batch.insert(batch.end(), classes[ui].payloads.begin(),
-                 classes[ui].payloads.end());
-    PDS_ASSIGN_OR_RETURN(
-        results[ui],
-        Exchange<AggResultMsg>(
-            s, histogram ? RoundKind::kFinalize : RoundKind::kClassAggregate,
-            func, std::move(batch), &unit_cost[ui]));
-    done[ui] = 1;
-    return Status::Ok();
-  };
-
-  {
-    obs::Span phase_span("net.class-aggregate", "net");
-    phase_span.AddArg("classes", static_cast<double>(num_units));
-    PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
-        config_.executor, na, [&](size_t ai) -> Status {
-          Session* s = sessions_[answers[ai].session].get();
-          for (size_t ui : by_session[ai]) {
-            Status st = run_unit(s, ui);
-            if (!st.ok()) {
-              if (!IsStragglerFailure(st)) {
-                return st;
-              }
-              DropStraggler(s);  // failover picks up this session's rest
-              return Status::Ok();
-            }
-          }
-          return Status::Ok();
-        }));
-    // Failover pass (serial): reassign unfinished classes to any session
-    // that is still alive, in responder order.
-    for (size_t ui = 0; ui < num_units; ++ui) {
-      for (size_t ai = 0; ai < na && done[ui] == 0; ++ai) {
-        Session* s = sessions_[answers[ai].session].get();
-        if (!s->alive) {
-          continue;
-        }
-        Status st = run_unit(s, ui);
-        if (!st.ok()) {
-          if (!IsStragglerFailure(st)) {
-            return st;
-          }
-          DropStraggler(s);
-        }
-      }
-      if (done[ui] == 0) {
-        return Status::FailedPrecondition(
-            "every responding token vanished before class " +
-            std::to_string(ui) + " could be aggregated");
-      }
-    }
-  }
-
-  // Merge in class order (map order), exactly like the in-process merge.
-  global::GroupStates state;
-  for (size_t ui = 0; ui < num_units; ++ui) {
-    unit_cost[ui].MergeInto(&out.metrics, &report_);
-    for (const AggResultEntry& e : results[ui].entries) {
-      state[e.group].sum += e.sum;
-      state[e.group].count += e.count;
-    }
-  }
-  ++out.metrics.rounds;
-
-  out.groups = global::Finalize(state, func);
-  out.leakage = observer.Report();
-  switch (det.variant) {
-    case DetVariant::kWhiteNoise:
-      global::RecordProtocolRun("net-white-noise", out.metrics, out.leakage);
-      break;
-    case DetVariant::kDomainNoise:
-      global::RecordProtocolRun("net-domain-noise", out.metrics, out.leakage);
-      break;
-    case DetVariant::kHistogram:
-      global::RecordProtocolRun("net-histogram", out.metrics, out.leakage);
-      break;
-  }
+  Channel channel(this, answers, func);
+  const bool histogram = det.variant == DetVariant::kHistogram;
+  PDS_ASSIGN_OR_RETURN(global::GroupStates state,
+                       global::RunClassRounds(&channel, std::move(sent),
+                                              histogram, &observer, &metrics));
+  const char* name = histogram ? "net-histogram"
+                     : det.variant == DetVariant::kDomainNoise
+                         ? "net-domain-noise"
+                         : "net-white-noise";
+  AggOutput out = global::FinishRun(name, state, func, metrics, observer);
   stats_ring_.Capture(obs::Registry::Global());
   return out;
 }

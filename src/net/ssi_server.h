@@ -10,6 +10,7 @@
 #include "common/clock.h"
 #include "common/rng.h"
 #include "global/agg_protocols.h"
+#include "global/agg_rounds.h"
 #include "global/common.h"
 #include "global/fleet_executor.h"
 #include "global/integrity.h"
@@ -23,15 +24,16 @@
 ///
 /// Every run opens the same way: the sessions live at its start take part,
 /// one collect round fans out over them, stragglers past the retry budget
-/// are dropped, and the run proceeds only at quorum. What follows is the
-/// protocol's own: partition rounds (secure aggregation), a homomorphic
-/// fold (packed Paillier), class rounds with failover (the det family), or
-/// nothing (the sealed collect). The token's work in each round is the
-/// step in global/agg_steps.h that the in-process protocols also run, and
-/// units are assigned to tokens in the same order, so a loopback run over
+/// are dropped, and the run proceeds only at quorum. What follows is one
+/// of the round drivers in global/agg_rounds.h: partition rounds (secure
+/// aggregation), class rounds with failover (the det family), or the
+/// homomorphic fold (packed Paillier); the sealed collect has none. The
+/// in-process protocols run the same drivers, so a loopback run over
 /// identically-seeded tokens gives the in-process group results bit for
-/// bit. What differs is the accounting: Metrics wire counters are measured
-/// from the frames actually sent and received (headers included).
+/// bit. The server's channel to those drivers turns each token step into
+/// one framed request, so what differs is the accounting: Metrics wire
+/// counters are measured from the frames actually sent and received
+/// (headers included).
 ///
 /// The server is honest. Tests that need a misbehaving SSI wrap its
 /// transports or edit what its runs return.
@@ -210,8 +212,8 @@ class SsiServer {
     /// Null under Config::lean_sessions (million-session fleets).
     std::unique_ptr<SessionStats> stats;
   };
-  struct WireCost;   // per-work-unit wire accounting (defined in the .cc)
   struct ActiveRun;  // a run in flight (defined in the .cc)
+  class Channel;     // the round drivers' wire channel (defined in the .cc)
 
   /// Opens a protocol run: picks the live sessions, refuses readmission
   /// until the returned run ends, resets the round report and draws the
@@ -234,6 +236,10 @@ class SsiServer {
       global::AggFunc func, const std::vector<Bytes>& batch,
       global::Metrics* metrics);
 
+  /// Adds one work unit's cost to the run: its Metrics to `metrics`, its
+  /// link events to the round report.
+  void Charge(const global::RoundCost& cost, global::Metrics* metrics);
+
   /// Records how many of `sessions` answered the collect round and fails
   /// the run unless at least Config::quorum of them did.
   [[nodiscard]] Status RequireQuorum(size_t responders, size_t sessions,
@@ -246,7 +252,7 @@ class SsiServer {
   [[nodiscard]] Result<Reply> Exchange(Session* s, RoundKind kind,
                                        global::AggFunc func,
                                        std::vector<Bytes> batch,
-                                       WireCost* cost);
+                                       global::RoundCost* cost);
 
   /// Drops `s` from the rest of the run as a straggler.
   static void DropStraggler(Session* s);
@@ -258,7 +264,8 @@ class SsiServer {
   /// kill the session while the stream itself stays framed.
   /// `cost` accumulates the measured frame bytes both ways.
   [[nodiscard]] Result<Message> RoundTrip(Session* s, const Bytes& frame,
-                                          uint32_t round_id, WireCost* cost);
+                                          uint32_t round_id,
+                                          global::RoundCost* cost);
 
   /// Shared handshake body of AcceptSession/ReadmitSession.
   [[nodiscard]] Result<size_t> Handshake(std::unique_ptr<Transport> transport,

@@ -1,6 +1,7 @@
 #include "net/token_client.h"
 
 #include <chrono>
+#include <cmath>
 #include <thread>
 #include <utility>
 
@@ -213,6 +214,20 @@ Status TokenClient::HandleDetCollect(const RoundRequestMsg& req) {
   }
   PDS_ASSIGN_OR_RETURN(DetParams params,
                        DecodeDetParams(ByteView(req.batch[0])));
+  // The parameters are untrusted: before drawing any noise, refuse a round
+  // whose real plus fake tuples would not fit one reply batch.
+  const double real = static_cast<double>(tuples_.size());
+  double fakes = 0;
+  if (params.variant == DetVariant::kWhiteNoise) {
+    fakes = std::floor(real * params.noise_ratio);
+  } else if (params.variant == DetVariant::kDomainNoise) {
+    fakes = static_cast<double>(req.batch.size() - 1) *
+            static_cast<double>(params.fakes_per_value);
+  }
+  if (real + fakes > static_cast<double>(kMaxBatchTuples / 2)) {
+    return Status::InvalidArgument(
+        "det collect would exceed one reply batch");
+  }
   TupleBatchMsg reply;
   reply.round_id = req.header.round_id;
   std::vector<global::KeyedTuple> sent;
@@ -230,9 +245,7 @@ Status TokenClient::HandleDetCollect(const RoundRequestMsg& req) {
       // and prefixes the id, so labels stay distinct across the fleet
       // without any cross-token coordination.
       Rng noise_rng(params.noise_seed + tok->id());
-      size_t n = static_cast<size_t>(static_cast<double>(tuples_.size()) *
-                                     params.noise_ratio);
-      for (size_t i = 0; i < n; ++i) {
+      for (size_t i = 0; i < static_cast<size_t>(fakes); ++i) {
         noise.push_back({std::string(global::kFakeGroupPrefix) +
                              std::to_string(tok->id()) + "-" +
                              std::to_string(noise_rng.Next()),

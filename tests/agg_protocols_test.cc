@@ -96,6 +96,12 @@ TEST_F(AggProtocolTest, SecureAggRejectsImpossibleCapacity) {
   EXPECT_EQ(output.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(AggProtocolTest, SecureAggRejectsZeroCapacity) {
+  SecureAggProtocol protocol({0});
+  auto output = protocol.Execute(participants_, AggFunc::kSum);
+  EXPECT_EQ(output.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(AggProtocolTest, WhiteNoiseSumCountAvg) {
   WhiteNoiseProtocol protocol({/*noise_ratio=*/0.3, /*noise_seed=*/3});
   CheckMatchesPlain(&protocol, AggFunc::kSum);

@@ -12,6 +12,7 @@
 #include "crypto/paillier.h"
 #include "embdb/database.h"
 #include "flash/flash.h"
+#include "global/agg_protocols.h"
 #include "mcu/ram_gauge.h"
 #include "mcu/secure_token.h"
 
@@ -188,6 +189,109 @@ TEST(ExperimentShapeTest, E6_CryptoLadderOrdersOfMagnitude) {
   EXPECT_LT(cached_us, scalar_us)
       << "fixed-base cache should beat the scalar path: cached=" << cached_us
       << "us scalar=" << scalar_us << "us";
+}
+
+// E8's counter rows: all five in-process [TNP14] protocols on the fleet
+// bench_agg_protocols runs at BM_*/10 (100 tokens x 10 tuples over 10
+// groups, fleet key "agg-bench", data Rng(31)). Every counter the E8 table
+// is read from is pinned exactly, so a refactor of the rounds that changes
+// one message, byte, round or op fails here.
+struct E8Row {
+  const char* protocol;
+  uint64_t messages, bytes, bytes_token_to_ssi, bytes_ssi_to_token, rounds,
+      token_crypto_ops, ssi_ops, tuples_observed, distinct_classes;
+};
+
+struct E8Fleet {
+  std::vector<std::unique_ptr<mcu::SecureToken>> tokens;
+  std::vector<global::Participant> participants;
+};
+
+E8Fleet BuildE8Fleet() {
+  E8Fleet fleet;
+  crypto::SymmetricKey key = crypto::KeyFromString("agg-bench");
+  Rng rng(31);
+  for (size_t i = 0; i < 100; ++i) {
+    mcu::SecureToken::Config cfg;
+    cfg.token_id = i;
+    cfg.fleet_key = key;
+    fleet.tokens.push_back(std::make_unique<mcu::SecureToken>(cfg));
+    global::Participant p;
+    p.token = fleet.tokens.back().get();
+    for (size_t t = 0; t < 10; ++t) {
+      // Integer values, so the packed-Paillier row runs on the same data.
+      p.tuples.push_back({"g" + std::to_string(rng.Uniform(10)),
+                          static_cast<double>(rng.Uniform(100))});
+    }
+    fleet.participants.push_back(std::move(p));
+  }
+  return fleet;
+}
+
+TEST(ExperimentShapeTest, E8_ProtocolFamilyCountersExact) {
+  std::vector<std::string> domain;
+  for (int g = 0; g < 10; ++g) {
+    domain.push_back("g" + std::to_string(g));
+  }
+  global::DomainNoiseProtocol::Config dn;
+  dn.domain = domain;
+  dn.fakes_per_value = 1;
+  global::PackedPaillierProtocol::Config pp;
+  pp.domain = domain;
+  pp.max_slot_value = 1000;  // 10 tuples of at most 99 per token
+
+  global::SecureAggProtocol secure({/*partition_capacity=*/256});
+  global::WhiteNoiseProtocol white({/*noise_ratio=*/0.2, /*noise_seed=*/5});
+  global::DomainNoiseProtocol domain_noise(dn);
+  global::HistogramProtocol histogram({/*num_buckets=*/4});
+  global::PackedPaillierProtocol packed(pp);
+
+  const E8Row rows[] = {
+      {"secure-agg", 2080, 106080, 53040, 53040, 3, 2080, 4, 1040, 1040},
+      {"white-noise", 2200, 134668, 85668, 49000, 2, 3810, 1200, 1200, 210},
+      {"domain-noise", 4000, 232000, 134000, 98000, 2, 6010, 2000, 2000, 10},
+      {"histogram", 2000, 106000, 55000, 51000, 2, 2000, 1000, 1000, 4},
+      {"packed-paillier", 101, 12926, 12798, 128, 1, 101, 99, 100, 100},
+  };
+  global::AggregationProtocol* protocols[] = {&secure, &white, &domain_noise,
+                                              &histogram, &packed};
+  for (size_t i = 0; i < 5; ++i) {
+    E8Fleet fleet = BuildE8Fleet();
+    auto out = protocols[i]->Execute(fleet.participants, global::AggFunc::kSum);
+    ASSERT_TRUE(out.ok()) << rows[i].protocol << ": "
+                          << out.status().ToString();
+    const global::Metrics& m = out->metrics;
+    const E8Row got{rows[i].protocol,
+                    m.messages,
+                    m.bytes,
+                    m.bytes_token_to_ssi,
+                    m.bytes_ssi_to_token,
+                    m.rounds,
+                    m.token_crypto_ops,
+                    m.ssi_ops,
+                    out->leakage.tuples_observed,
+                    out->leakage.distinct_classes};
+    SCOPED_TRACE(std::string(rows[i].protocol) + " got {" +
+                 std::to_string(got.messages) + ", " +
+                 std::to_string(got.bytes) + ", " +
+                 std::to_string(got.bytes_token_to_ssi) + ", " +
+                 std::to_string(got.bytes_ssi_to_token) + ", " +
+                 std::to_string(got.rounds) + ", " +
+                 std::to_string(got.token_crypto_ops) + ", " +
+                 std::to_string(got.ssi_ops) + ", " +
+                 std::to_string(got.tuples_observed) + ", " +
+                 std::to_string(got.distinct_classes) + "}");
+    EXPECT_EQ(got.messages, rows[i].messages);
+    EXPECT_EQ(got.bytes, rows[i].bytes);
+    EXPECT_EQ(got.bytes_token_to_ssi, rows[i].bytes_token_to_ssi);
+    EXPECT_EQ(got.bytes_ssi_to_token, rows[i].bytes_ssi_to_token);
+    EXPECT_EQ(got.rounds, rows[i].rounds);
+    EXPECT_EQ(got.token_crypto_ops, rows[i].token_crypto_ops);
+    EXPECT_EQ(got.ssi_ops, rows[i].ssi_ops);
+    EXPECT_EQ(got.tuples_observed, rows[i].tuples_observed);
+    EXPECT_EQ(got.distinct_classes, rows[i].distinct_classes);
+    EXPECT_EQ(m.tokens_missing, 0u);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "net/codec.h"
 
 namespace pds::net {
@@ -300,6 +302,20 @@ TEST(NetCodecTest, EmptyBatchAndEmptyEntriesRoundTrip) {
   auto decoded2 = DecodeMessage(EncodeAggResult(ar));
   ASSERT_TRUE(decoded2.ok());
   EXPECT_TRUE(std::get<AggResultMsg>(decoded2->body).entries.empty());
+}
+
+TEST(NetCodecTest, DetParamsRejectNonFiniteOrNegativeNoiseRatio) {
+  DetParams p;
+  p.noise_ratio = 0.5;
+  auto ok = DecodeDetParams(ByteView(EncodeDetParams(p)));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(*ok, p);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                     std::numeric_limits<double>::infinity()}) {
+    p.noise_ratio = bad;
+    auto got = DecodeDetParams(ByteView(EncodeDetParams(p)));
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption) << bad;
+  }
 }
 
 }  // namespace

@@ -857,6 +857,180 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+/// Every framed counter and RoundReport field of one wire run.
+struct WireRow {
+  const char* run;
+  uint64_t messages, bytes, bytes_token_to_ssi, bytes_ssi_to_token, rounds,
+      token_crypto_ops, ssi_ops, tokens_missing;
+  size_t sessions, responders;
+  uint64_t deadline_hits, retries, missing_tokens, frame_rejects;
+};
+
+void ExpectWireRow(const WireRow& want, const global::Metrics& m,
+                   const SsiServer::RoundReport& r) {
+  SCOPED_TRACE(std::string(want.run) + " got {" + std::to_string(m.messages) +
+               ", " + std::to_string(m.bytes) + ", " +
+               std::to_string(m.bytes_token_to_ssi) + ", " +
+               std::to_string(m.bytes_ssi_to_token) + ", " +
+               std::to_string(m.rounds) + ", " +
+               std::to_string(m.token_crypto_ops) + ", " +
+               std::to_string(m.ssi_ops) + ", " +
+               std::to_string(m.tokens_missing) + ", " +
+               std::to_string(r.sessions) + ", " +
+               std::to_string(r.responders) + ", " +
+               std::to_string(r.deadline_hits) + ", " +
+               std::to_string(r.retries) + ", " +
+               std::to_string(r.missing_tokens) + ", " +
+               std::to_string(r.frame_rejects) + "}");
+  EXPECT_EQ(m.messages, want.messages);
+  EXPECT_EQ(m.bytes, want.bytes);
+  EXPECT_EQ(m.bytes_token_to_ssi, want.bytes_token_to_ssi);
+  EXPECT_EQ(m.bytes_ssi_to_token, want.bytes_ssi_to_token);
+  EXPECT_EQ(m.rounds, want.rounds);
+  EXPECT_EQ(m.token_crypto_ops, want.token_crypto_ops);
+  EXPECT_EQ(m.ssi_ops, want.ssi_ops);
+  EXPECT_EQ(m.tokens_missing, want.tokens_missing);
+  EXPECT_EQ(r.sessions, want.sessions);
+  EXPECT_EQ(r.responders, want.responders);
+  EXPECT_EQ(r.deadline_hits, want.deadline_hits);
+  EXPECT_EQ(r.retries, want.retries);
+  EXPECT_EQ(r.missing_tokens, want.missing_tokens);
+  EXPECT_EQ(r.frame_rejects, want.frame_rejects);
+}
+
+TEST(NetFramedCountersTest, EveryRunPinsItsFramesAndReport) {
+  // Five aggregation runs and the sealed collect, back to back on one
+  // server over 8 pumped in-process sessions. Partition capacity 16 makes
+  // the secure run stream partition maps and several partition rounds.
+  TestFleet fleet = MakeTestFleet(8);
+  PackedContext ctx = MakePackedContext(8);
+  SsiServer::Config scfg;
+  scfg.verifier = fleet.verifier.get();
+  scfg.partition_capacity = 16;
+  SsiServer server(scfg);
+  auto clients = ConnectPumped(&server, &fleet, 0, ctx.agg.get());
+  ASSERT_EQ(server.num_sessions(), 8u);
+
+  const WireRow rows[] = {
+      {"secure", 39, 13506, 6768, 6738, 4, 212, 7, 0, 8, 8, 0, 0, 0, 0},
+      {"white-noise", 48, 13278, 7531, 5747, 2, 265, 83, 0, 8, 8, 0, 0, 0, 0},
+      {"domain-noise", 26, 16222, 9290, 6932, 2, 341, 112, 0, 8, 8, 0, 0, 0, 0},
+      {"histogram", 22, 9896, 5218, 4678, 2, 144, 72, 0, 8, 8, 0, 0, 0, 0},
+      {"packed", 16, 1280, 736, 544, 1, 9, 7, 0, 8, 8, 0, 0, 0, 0},
+      {"sealed", 16, 8744, 8600, 144, 1, 152, 72, 0, 8, 8, 0, 0, 0, 0},
+  };
+  SsiServer::DetRunConfig det;
+  for (int i = 0; i < 5; ++i) {
+    det.domain.push_back("city-" + std::to_string(i));
+  }
+  det.num_buckets = 3;
+  const auto expected =
+      global::PlainAggregate(fleet.participants, AggFunc::kSum);
+  for (size_t i = 0; i < 6; ++i) {
+    Result<global::AggOutput> out = Status::Internal("not run");
+    switch (i) {
+      case 0:
+        out = server.RunSecureAggregation(AggFunc::kSum);
+        break;
+      case 1:
+      case 2:
+      case 3:
+        det.variant = static_cast<DetVariant>(i);
+        out = server.RunDetAggregation(AggFunc::kSum, det);
+        break;
+      case 4:
+        out = server.RunPackedAggregation(AggFunc::kSum, *ctx.agg,
+                                          ctx.domain);
+        break;
+      default: {
+        auto sealed = server.RunSealedCollect();
+        ASSERT_TRUE(sealed.ok()) << sealed.status().ToString();
+        ExpectWireRow(rows[i], sealed->metrics, server.last_report());
+        continue;
+      }
+    }
+    ASSERT_TRUE(out.ok()) << rows[i].run << ": " << out.status().ToString();
+    ExpectWireRow(rows[i], out->metrics, server.last_report());
+    ASSERT_EQ(out->groups.size(), expected.size()) << rows[i].run;
+    for (const auto& [group, value] : expected) {
+      EXPECT_NEAR(out->groups.at(group), value, 1e-9) << rows[i].run;
+    }
+  }
+  server.Shutdown();
+}
+
+TEST(NetSecureAggTest, ZeroPartitionCapacityFailsCleanly) {
+  TestFleet fleet = MakeTestFleet(3);
+  SsiServer::Config scfg;
+  scfg.verifier = fleet.verifier.get();
+  scfg.partition_capacity = 0;
+  SsiServer server(scfg);
+  auto clients = ConnectPumped(&server, &fleet, 0);
+  auto output = server.RunSecureAggregation(AggFunc::kSum);
+  server.Shutdown();
+  EXPECT_EQ(output.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// Plays the SSI by hand against one pumped token: handshake, then one
+/// kDetCollect request carrying `params` and `domain`. Returns the reply.
+Result<Message> DetCollectByHand(const DetParams& params,
+                                 const std::vector<std::string>& domain) {
+  TestFleet fleet = MakeTestFleet(1);
+  auto [ssi_end, client_end] = InProcessTransport::CreatePair();
+  TokenClient::Config cfg;
+  cfg.token = fleet.tokens[0].get();
+  cfg.tuples = fleet.participants[0].tuples;
+  TokenClient client(std::move(client_end), std::move(cfg));
+  PDS_RETURN_IF_ERROR(client.StartPumped());
+  auto exchange = [&](const Bytes& frame) -> Result<Bytes> {
+    PDS_RETURN_IF_ERROR(ssi_end->Send(frame));
+    PDS_RETURN_IF_ERROR(client.PumpOnce().status());
+    return ssi_end->Recv(0);
+  };
+  ChallengeMsg challenge;
+  challenge.nonce = Bytes(16, 7);
+  PDS_ASSIGN_OR_RETURN(Bytes hello_frame, exchange(EncodeChallenge(challenge)));
+  PDS_RETURN_IF_ERROR(DecodeAs<HelloMsg>(hello_frame).status());
+  PDS_RETURN_IF_ERROR(ssi_end->Send(EncodeHelloAck(HelloAckMsg{true})));
+  PDS_RETURN_IF_ERROR(client.PumpOnce().status());
+  RoundRequestMsg req;
+  req.header = {1, RoundKind::kDetCollect, AggFunc::kSum};
+  req.batch.push_back(EncodeDetParams(params));
+  for (const std::string& g : domain) {
+    req.batch.push_back(ByteView(std::string_view(g)).ToBytes());
+  }
+  PDS_ASSIGN_OR_RETURN(Bytes reply, exchange(EncodeRoundRequest(req)));
+  return DecodeMessage(reply);
+}
+
+TEST(NetDetParamsTest, TokenRefusesNoiseBeyondOneReplyBatch) {
+  std::vector<std::string> domain;
+  for (int i = 0; i < 5; ++i) {
+    domain.push_back("city-" + std::to_string(i));
+  }
+  DetParams params;
+  params.variant = DetVariant::kDomainNoise;
+  params.fakes_per_value = 3;
+  auto fine = DetCollectByHand(params, domain);
+  ASSERT_TRUE(fine.ok()) << fine.status().ToString();
+  EXPECT_TRUE(std::holds_alternative<TupleBatchMsg>(fine->body));
+
+  // 5 domain values x 2^31 fakes, and a 1e12 white-noise ratio, would
+  // each have the token allocate without bound: it answers with the
+  // request-fault error instead.
+  params.fakes_per_value = 1u << 31;
+  DetParams white;
+  white.variant = DetVariant::kWhiteNoise;
+  white.noise_ratio = 1e12;
+  for (const DetParams& p : {params, white}) {
+    auto got = DetCollectByHand(p, domain);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const ErrorMsg* err = std::get_if<ErrorMsg>(&got->body);
+    ASSERT_NE(err, nullptr);
+    EXPECT_EQ(err->code, 3u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Handshake
 

@@ -1,7 +1,8 @@
 // Property tests for the [TNP14] aggregation protocol family: for every
 // fleet shape (tokens x tuples x groups) and every protocol, the result
 // must equal the plaintext aggregate for SUM, COUNT and AVG — and each
-// protocol's leakage invariant must hold.
+// protocol's leakage invariant must hold. Packed Paillier sums counters, so
+// its fleets carry integer values; every other protocol gets quarters.
 
 #include <gtest/gtest.h>
 
@@ -15,14 +16,20 @@
 namespace pds::global {
 namespace {
 
-enum class ProtocolKind { kSecureAgg, kWhiteNoise, kDomainNoise, kHistogram };
+enum class ProtocolKind {
+  kSecureAgg,
+  kWhiteNoise,
+  kDomainNoise,
+  kHistogram,
+  kPackedPaillier,
+};
 
 // (num_tokens, tuples_per_token, num_groups, protocol)
 using ProtoParam = std::tuple<int, int, int, ProtocolKind>;
 
 class ProtocolProperty : public ::testing::TestWithParam<ProtoParam> {
  protected:
-  void BuildFleet(int num_tokens, int tuples, int groups) {
+  void BuildFleet(int num_tokens, int tuples, int groups, ProtocolKind kind) {
     crypto::SymmetricKey key = crypto::KeyFromString("prop-fleet");
     Rng rng(num_tokens * 1000 + tuples * 10 + groups);
     for (int i = 0; i < num_tokens; ++i) {
@@ -33,9 +40,12 @@ class ProtocolProperty : public ::testing::TestWithParam<ProtoParam> {
       Participant p;
       p.token = tokens_.back().get();
       for (int t = 0; t < tuples; ++t) {
-        p.tuples.push_back(
-            {"g" + std::to_string(rng.Uniform(groups)),
-             static_cast<double>(rng.Uniform(1000)) / 4.0});
+        std::string group = "g" + std::to_string(rng.Uniform(groups));
+        const uint64_t v = rng.Uniform(1000);
+        p.tuples.push_back({std::move(group),
+                            kind == ProtocolKind::kPackedPaillier
+                                ? static_cast<double>(v)
+                                : static_cast<double>(v) / 4.0});
       }
       participants_.push_back(std::move(p));
     }
@@ -43,6 +53,10 @@ class ProtocolProperty : public ::testing::TestWithParam<ProtoParam> {
 
   std::unique_ptr<AggregationProtocol> MakeProtocol(ProtocolKind kind,
                                                     int groups) {
+    std::vector<std::string> domain;
+    for (int g = 0; g < groups; ++g) {
+      domain.push_back("g" + std::to_string(g));
+    }
     switch (kind) {
       case ProtocolKind::kSecureAgg:
         return std::make_unique<SecureAggProtocol>(
@@ -53,15 +67,19 @@ class ProtocolProperty : public ::testing::TestWithParam<ProtoParam> {
             WhiteNoiseProtocol::Config{0.5, 11});
       case ProtocolKind::kDomainNoise: {
         DomainNoiseProtocol::Config cfg;
-        for (int g = 0; g < groups; ++g) {
-          cfg.domain.push_back("g" + std::to_string(g));
-        }
+        cfg.domain = std::move(domain);
         cfg.fakes_per_value = 2;
         return std::make_unique<DomainNoiseProtocol>(std::move(cfg));
       }
       case ProtocolKind::kHistogram:
         return std::make_unique<HistogramProtocol>(
             HistogramProtocol::Config{5});
+      case ProtocolKind::kPackedPaillier: {
+        PackedPaillierProtocol::Config cfg;
+        cfg.domain = std::move(domain);
+        cfg.max_slot_value = 8 * 999;  // 8 tuples of at most 999 per token
+        return std::make_unique<PackedPaillierProtocol>(std::move(cfg));
+      }
     }
     return nullptr;
   }
@@ -72,7 +90,7 @@ class ProtocolProperty : public ::testing::TestWithParam<ProtoParam> {
 
 TEST_P(ProtocolProperty, MatchesPlaintextForAllAggregates) {
   auto [num_tokens, tuples, groups, kind] = GetParam();
-  BuildFleet(num_tokens, tuples, groups);
+  BuildFleet(num_tokens, tuples, groups, kind);
   auto protocol = MakeProtocol(kind, groups);
 
   for (AggFunc func : {AggFunc::kSum, AggFunc::kCount, AggFunc::kAvg}) {
@@ -89,7 +107,7 @@ TEST_P(ProtocolProperty, MatchesPlaintextForAllAggregates) {
 
 TEST_P(ProtocolProperty, LeakageInvariants) {
   auto [num_tokens, tuples, groups, kind] = GetParam();
-  BuildFleet(num_tokens, tuples, groups);
+  BuildFleet(num_tokens, tuples, groups, kind);
   auto protocol = MakeProtocol(kind, groups);
   auto output = protocol->Execute(participants_, AggFunc::kSum);
   ASSERT_TRUE(output.ok());
@@ -128,6 +146,11 @@ TEST_P(ProtocolProperty, LeakageInvariants) {
       EXPECT_LE(leak.distinct_classes, 5u);
       EXPECT_EQ(leak.tuples_observed, real_tuples);
       break;
+    case ProtocolKind::kPackedPaillier:
+      // One distinct ciphertext per token: the SSI learns the fleet size.
+      EXPECT_EQ(leak.tuples_observed, static_cast<uint64_t>(num_tokens));
+      EXPECT_EQ(leak.distinct_classes, leak.tuples_observed);
+      break;
   }
 }
 
@@ -140,7 +163,8 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(ProtocolKind::kSecureAgg,
                           ProtocolKind::kWhiteNoise,
                           ProtocolKind::kDomainNoise,
-                          ProtocolKind::kHistogram)));
+                          ProtocolKind::kHistogram,
+                          ProtocolKind::kPackedPaillier)));
 
 }  // namespace
 }  // namespace pds::global
