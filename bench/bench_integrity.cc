@@ -1,18 +1,20 @@
 // E9 — weakly-malicious SSI detection (tutorial threat model B: "WM +
 // Broken -> must be prevented via security primitives, see [ANP13]").
 //
-// The SSI drops/duplicates/alters sealed tuples at a configurable rate;
-// the verifier token checks per-tuple MACs + per-participant manifests.
+// The SSI drops/duplicates/alters sealed tuples at a configurable rate
+// (global::ApplySealedTampering, the same actions the wire adversary
+// uses); the verifier token checks per-tuple MACs + per-participant
+// manifests.
 // Paper shape: detection probability is 1 whenever at least one action
 // occurred (deterministic primitives), so a covert adversary is deterred;
 // the bench also reports the token-side verification cost that buys it.
 
 #include <benchmark/benchmark.h>
 
-#include "common/rng.h"
-
+#include <algorithm>
 #include <memory>
 
+#include "common/rng.h"
 #include "global/integrity.h"
 
 namespace {
@@ -20,8 +22,10 @@ namespace {
 using pds::global::MakeManifest;
 using pds::global::Manifest;
 using pds::global::SealedTuple;
+using pds::global::ApplySealedTampering;
+using pds::global::EncodeSealedTuple;
 using pds::global::SealTuples;
-using pds::global::TamperingSsi;
+using pds::global::SealedTampering;
 using pds::global::VerifyBatch;
 using pds::mcu::SecureToken;
 
@@ -53,22 +57,46 @@ std::unique_ptr<Setup> Build(size_t n) {
   return s;
 }
 
+/// The pool as a multiset of encodings: two pools the querier cannot tell
+/// apart compare equal.
+std::vector<pds::Bytes> PoolKey(const std::vector<SealedTuple>& pool) {
+  std::vector<pds::Bytes> key;
+  key.reserve(pool.size());
+  for (const SealedTuple& t : pool) {
+    key.push_back(EncodeSealedTuple(t));
+  }
+  std::sort(key.begin(), key.end());
+  return key;
+}
+
 // Detection probability vs tamper rate: run many tampered batches and
-// count how often verification flags them.
+// count how often verification flags them. Each batch gets one single
+// action per Bernoulli(rate) hit over its tuples — drop, duplicate and
+// alter in equal shares, freely mixed, so count-preserving drop+duplicate
+// combinations occur too. A batch counts as tampered when its pool differs
+// from the honest one (an omit can undo a replay).
 void BM_DetectionRate(benchmark::State& state) {
   const double rate = static_cast<double>(state.range(0)) / 1000.0;
   auto setup = Build(200);
+  const std::vector<pds::Bytes> honest = PoolKey(setup->batch);
+  constexpr SealedTampering kActions[] = {SealedTampering::kOmit,
+                                          SealedTampering::kReplay,
+                                          SealedTampering::kSubstitute};
+  pds::Rng rng(1);
   uint64_t tampered_batches = 0, detected = 0, trials = 0;
-  uint64_t seed = 1;
   for (auto _ : state) {
     std::vector<SealedTuple> batch = setup->batch;
-    TamperingSsi ssi({rate / 3, rate / 3, rate / 3, seed++});
-    auto actions = ssi.Tamper(&batch);
-    auto verdict =
-        VerifyBatch(setup->verifier.get(), batch, {setup->manifest});
+    std::vector<Manifest> manifests = {setup->manifest};
+    for (size_t i = 0; i < setup->batch.size(); ++i) {
+      if (rng.Bernoulli(rate)) {
+        ApplySealedTampering(kActions[rng.Uniform(3)], &rng, &batch,
+                             &manifests);
+      }
+    }
+    auto verdict = VerifyBatch(setup->verifier.get(), batch, manifests);
     benchmark::DoNotOptimize(verdict);
     ++trials;
-    if (actions.total() > 0) {
+    if (PoolKey(batch) != honest) {
       ++tampered_batches;
       if (verdict.ok() && !verdict->ok) {
         ++detected;

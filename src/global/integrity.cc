@@ -186,32 +186,50 @@ Result<SealedAudit> AuditSealedBatch(mcu::SecureToken* querier,
   return out;
 }
 
-TamperingSsi::Actions TamperingSsi::Tamper(std::vector<SealedTuple>* batch) {
-  Actions actions;
-  std::vector<SealedTuple> result;
-  result.reserve(batch->size());
-  for (SealedTuple& t : *batch) {
-    if (rng_.Bernoulli(config_.drop_rate)) {
-      ++actions.dropped;
-      continue;
+std::string ApplySealedTampering(SealedTampering action, Rng* rng,
+                                 std::vector<SealedTuple>* tuples,
+                                 std::vector<Manifest>* manifests) {
+  switch (action) {
+    case SealedTampering::kSubstitute: {
+      if (tuples->empty()) return "";
+      SealedTuple& t = (*tuples)[rng->Uniform(tuples->size())];
+      if (t.payload_ct.empty()) return "";
+      size_t byte = static_cast<size_t>(rng->Uniform(t.payload_ct.size()));
+      t.payload_ct[byte] ^= 0x01;
+      return "substituted ciphertext byte of (participant " +
+             std::to_string(t.participant) + ", seq " +
+             std::to_string(t.sequence) + ")";
     }
-    if (rng_.Bernoulli(config_.alter_rate)) {
-      ++actions.altered;
-      SealedTuple altered = t;
-      if (!altered.payload_ct.empty()) {
-        altered.payload_ct[rng_.Uniform(altered.payload_ct.size())] ^= 0x01;
-      }
-      result.push_back(std::move(altered));
-      continue;
+    case SealedTampering::kReplay: {
+      if (tuples->empty()) return "";
+      SealedTuple copy = (*tuples)[rng->Uniform(tuples->size())];
+      std::string what = "replayed (participant " +
+                         std::to_string(copy.participant) + ", seq " +
+                         std::to_string(copy.sequence) + ")";
+      tuples->push_back(std::move(copy));
+      return what;
     }
-    result.push_back(t);
-    if (rng_.Bernoulli(config_.duplicate_rate)) {
-      ++actions.duplicated;
-      result.push_back(t);
+    case SealedTampering::kOmit: {
+      if (tuples->empty()) return "";
+      size_t victim = static_cast<size_t>(rng->Uniform(tuples->size()));
+      std::string what = "omitted (participant " +
+                         std::to_string((*tuples)[victim].participant) +
+                         ", seq " +
+                         std::to_string((*tuples)[victim].sequence) + ")";
+      tuples->erase(tuples->begin() + static_cast<ptrdiff_t>(victim));
+      return what;
+    }
+    case SealedTampering::kForgeManifest: {
+      if (manifests->empty()) return "";
+      Manifest& m = (*manifests)[rng->Uniform(manifests->size())];
+      // The SSI holds no MAC key, so the best it can do is lie about the
+      // count and keep the stale MAC — exactly what VerifyBatch catches.
+      m.tuple_count += 1;
+      return "forged manifest count for participant " +
+             std::to_string(m.participant);
     }
   }
-  *batch = std::move(result);
-  return actions;
+  return "";
 }
 
 }  // namespace pds::global

@@ -93,34 +93,21 @@ Result<SealedAudit> AuditSealedBatch(mcu::SecureToken* querier,
                                      const std::vector<Manifest>& manifests,
                                      AggFunc func);
 
-/// The weakly malicious SSI: tampers with a batch according to the
-/// configured action rates. Returns how many tuples were affected.
-class TamperingSsi {
- public:
-  struct Config {
-    double drop_rate = 0.0;
-    double duplicate_rate = 0.0;
-    double alter_rate = 0.0;
-    uint64_t seed = 99;
-  };
-
-  explicit TamperingSsi(const Config& config)
-      : config_(config), rng_(config.seed) {}
-
-  struct Actions {
-    uint64_t dropped = 0;
-    uint64_t duplicated = 0;
-    uint64_t altered = 0;
-
-    uint64_t total() const { return dropped + duplicated + altered; }
-  };
-
-  Actions Tamper(std::vector<SealedTuple>* batch);
-
- private:
-  Config config_;
-  Rng rng_;
+/// One weakly-malicious SSI action on a sealed pool: the whole vocabulary
+/// VerifyBatch must catch. Each acts on a single victim.
+enum class SealedTampering : uint8_t {
+  kSubstitute = 1,     // flip one bit of one sealed payload ciphertext
+  kReplay = 2,         // duplicate one sealed tuple
+  kOmit = 3,           // drop one sealed tuple
+  kForgeManifest = 4,  // bump one manifest's count, keeping its stale MAC
 };
+
+/// Applies `action` in place, drawing its victim from `rng`. Returns a
+/// human-readable description of what was done ("" when the pool holds
+/// nothing the action can touch).
+std::string ApplySealedTampering(SealedTampering action, Rng* rng,
+                                 std::vector<SealedTuple>* tuples,
+                                 std::vector<Manifest>* manifests);
 
 }  // namespace pds::global
 

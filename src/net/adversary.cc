@@ -36,54 +36,14 @@ const char* AdversaryActionName(AdversaryAction action) {
 std::string ApplySealedTampering(const AdversaryPlan& plan,
                                  std::vector<global::SealedTuple>* tuples,
                                  std::vector<global::Manifest>* manifests) {
-  Rng rng(plan.seed);
-  switch (plan.action) {
-    case AdversaryAction::kSubstituteCiphertext: {
-      if (tuples->empty()) return "";
-      global::SealedTuple& t = (*tuples)[rng.Uniform(tuples->size())];
-      if (t.payload_ct.empty()) return "";
-      size_t byte = static_cast<size_t>(rng.Uniform(t.payload_ct.size()));
-      t.payload_ct[byte] ^= 0x01;
-      return "substituted ciphertext byte of (participant " +
-             std::to_string(t.participant) + ", seq " +
-             std::to_string(t.sequence) + ")";
-    }
-    case AdversaryAction::kReplayCiphertext: {
-      if (tuples->empty()) return "";
-      global::SealedTuple copy = (*tuples)[rng.Uniform(tuples->size())];
-      std::string what = "replayed (participant " +
-                         std::to_string(copy.participant) + ", seq " +
-                         std::to_string(copy.sequence) + ")";
-      tuples->push_back(std::move(copy));
-      return what;
-    }
-    case AdversaryAction::kOmitCiphertext: {
-      if (tuples->empty()) return "";
-      size_t victim = static_cast<size_t>(rng.Uniform(tuples->size()));
-      std::string what = "omitted (participant " +
-                         std::to_string((*tuples)[victim].participant) +
-                         ", seq " +
-                         std::to_string((*tuples)[victim].sequence) + ")";
-      tuples->erase(tuples->begin() + static_cast<ptrdiff_t>(victim));
-      return what;
-    }
-    case AdversaryAction::kForgeManifest: {
-      if (manifests->empty()) return "";
-      global::Manifest& m = (*manifests)[rng.Uniform(manifests->size())];
-      // The SSI holds no MAC key, so the best it can do is lie about the
-      // count and keep the stale MAC — exactly what VerifyBatch catches.
-      m.tuple_count += 1;
-      return "forged manifest count for participant " +
-             std::to_string(m.participant);
-    }
-    case AdversaryAction::kNone:
-    case AdversaryAction::kForgeAggregate:
-    case AdversaryAction::kReplayStaleRound:
-    case AdversaryAction::kOversizedFrame:
-    case AdversaryAction::kMalformedFrame:
-      return "";
+  if (plan.action < AdversaryAction::kSubstituteCiphertext ||
+      plan.action > AdversaryAction::kForgeManifest) {
+    return "";
   }
-  return "";
+  Rng rng(plan.seed);
+  return global::ApplySealedTampering(
+      static_cast<global::SealedTampering>(plan.action), &rng, tuples,
+      manifests);
 }
 
 void ApplyAggregateForgery(const AdversaryPlan& plan,
@@ -134,7 +94,7 @@ Result<std::string> ProbeTransport::Probe(AdversaryAction action) {
     req.header.kind = RoundKind::kCollect;
     req.header.func = global::AggFunc::kSum;
     frame = EncodeRoundRequest(req);
-    if (checksummed_) frame = AppendFrameChecksum(frame);
+    frame = ExtendFrame(std::move(frame), std::nullopt, checksummed_);
     want = 4;
     defended = "stale round " + std::to_string(req.header.round_id) +
                " rejected: ";

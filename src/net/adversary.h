@@ -11,8 +11,8 @@
 #include "global/integrity.h"
 #include "net/transport.h"
 
-/// Weakly-malicious SSI actions on the real wire. This ports the in-process
-/// global::TamperingSsi action vocabulary onto the wire runtime: an
+/// Weakly-malicious SSI actions on the real wire. This extends the sealed-
+/// pool vocabulary of global::ApplySealedTampering to the wire runtime: an
 /// AdversaryPlan makes the SSI misbehave in exactly one configured way per
 /// run, and the scenario harness asserts the querier-side
 /// global::IntegrityVerdict (or result comparison) catches it.
@@ -28,6 +28,7 @@ namespace pds::net {
 
 enum class AdversaryAction : uint8_t {
   kNone = 0,
+  // 1-4 are the global::SealedTampering actions, value for value.
   kSubstituteCiphertext = 1,  // alter one sealed payload ciphertext
   kReplayCiphertext = 2,      // duplicate one sealed tuple
   kOmitCiphertext = 3,        // drop one sealed tuple
@@ -46,9 +47,10 @@ struct AdversaryPlan {
 };
 
 /// Applies a sealed-batch tampering action (substitute/replay/omit/forge-
-/// manifest) in place, seeded like TamperingSsi. Returns a human-readable
-/// description of what was done ("" when the action does not apply to
-/// sealed batches or the batch is empty).
+/// manifest) in place through global::ApplySealedTampering, its victim drawn
+/// from Rng(plan.seed). Returns a human-readable description of what was
+/// done ("" when the action does not apply to sealed batches or the batch
+/// is empty).
 std::string ApplySealedTampering(const AdversaryPlan& plan,
                                  std::vector<global::SealedTuple>* tuples,
                                  std::vector<global::Manifest>* manifests);

@@ -1,5 +1,6 @@
 #include "net/codec.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <utility>
@@ -196,24 +197,6 @@ class Reader {
   return m;
 }
 
-[[nodiscard]] Result<PartitionMapMsg> DecodePartitionMap(Reader* r) {
-  PartitionMapMsg m;
-  PDS_ASSIGN_OR_RETURN(m.round_id, r->U32());
-  PDS_ASSIGN_OR_RETURN(uint32_t n, r->U32());
-  if (n > kMaxPartitions) {
-    return Status::Corruption("partition count exceeds kMaxPartitions");
-  }
-  m.parts.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    PartitionAssignment a;
-    PDS_ASSIGN_OR_RETURN(a.partition, r->U32());
-    PDS_ASSIGN_OR_RETURN(a.session, r->U32());
-    PDS_ASSIGN_OR_RETURN(a.num_items, r->U32());
-    m.parts.push_back(a);
-  }
-  return m;
-}
-
 [[nodiscard]] Result<TupleBatchMsg> DecodeTupleBatch(Reader* r) {
   TupleBatchMsg m;
   PDS_ASSIGN_OR_RETURN(m.round_id, r->U32());
@@ -254,7 +237,7 @@ class Reader {
   return m;
 }
 
-/// Fixed-size trace block at the head of a version-2 payload. No
+/// Fixed-size trace block at the head of a kFrameFlagTrace payload. No
 /// allocation; the flags byte must only carry defined bits.
 [[nodiscard]] Result<TraceContext> DecodeTraceContext(Reader* r) {
   TraceContext ctx;
@@ -305,18 +288,6 @@ Bytes EncodeRoundRequest(const RoundRequestMsg& m) {
   return std::move(w).Seal();
 }
 
-Bytes EncodePartitionMap(const PartitionMapMsg& m) {
-  Writer w(MsgType::kPartitionMap);
-  w.U32(m.round_id);
-  w.U32(static_cast<uint32_t>(m.parts.size()));
-  for (const PartitionAssignment& a : m.parts) {
-    w.U32(a.partition);
-    w.U32(a.session);
-    w.U32(a.num_items);
-  }
-  return std::move(w).Seal();
-}
-
 Bytes EncodeTupleBatch(const TupleBatchMsg& m) {
   Writer w(MsgType::kTupleBatch);
   w.U32(m.round_id);
@@ -357,21 +328,6 @@ Bytes EncodeStatsReply(const StatsReplyMsg& m) {
   return std::move(w).Seal();
 }
 
-Bytes AppendFrameChecksum(const Bytes& v1_frame) {
-  Bytes out;
-  out.reserve(v1_frame.size() + kFrameChecksumSize);
-  out = v1_frame;
-  out[2] = kWireVersionChecksummed;
-  EncodeU32(out.data() + 4,
-            static_cast<uint32_t>(out.size() - kFrameHeaderSize +
-                                  kFrameChecksumSize));
-  // Checksum covers the patched header too, so a flipped version or length
-  // byte is also caught.
-  uint64_t sum = Fnv1a64(ByteView(out.data(), out.size()));
-  PutU64(&out, sum);
-  return out;
-}
-
 Bytes EncodeDetParams(const DetParams& p) {
   Bytes out;
   out.reserve(kDetParamsSize);
@@ -407,23 +363,32 @@ Result<DetParams> DecodeDetParams(ByteView blob) {
   return p;
 }
 
-Bytes AttachTraceContext(const Bytes& v1_frame, const TraceContext& ctx) {
-  Bytes out;
-  out.reserve(v1_frame.size() + kTraceContextSize);
-  out.insert(out.end(), v1_frame.begin(),
-             v1_frame.begin() + kFrameHeaderSize);
-  out[2] = kWireVersionTraced;
-  PutU64(&out, ctx.trace_id);
-  PutU64(&out, ctx.parent_span_id);
-  out.push_back(ctx.sampled ? uint8_t{1} : uint8_t{0});
-  out.insert(out.end(), v1_frame.begin() + kFrameHeaderSize, v1_frame.end());
-  EncodeU32(out.data() + 4,
-            static_cast<uint32_t>(out.size() - kFrameHeaderSize));
-  return out;
+Bytes ExtendFrame(Bytes frame, const std::optional<TraceContext>& trace,
+                  bool checksum) {
+  if (trace.has_value()) {
+    frame[2] |= kFrameFlagTrace;
+    auto block = frame.insert(frame.begin() + kFrameHeaderSize,
+                              kTraceContextSize, 0);
+    EncodeU64(&*block, trace->trace_id);
+    EncodeU64(&*block + 8, trace->parent_span_id);
+    block[16] = trace->sampled ? 1 : 0;
+  }
+  if (checksum) {
+    frame[2] |= kFrameFlagChecksum;
+  }
+  EncodeU32(frame.data() + 4,
+            static_cast<uint32_t>(frame.size() - kFrameHeaderSize +
+                                  (checksum ? kFrameChecksumSize : 0)));
+  if (checksum) {
+    // The trailer covers the patched header too, so a flipped flag or
+    // length byte is also caught.
+    PutU64(&frame, Fnv1a64(ByteView(frame.data(), frame.size())));
+  }
+  return frame;
 }
 
 Bytes EncodeMessage(const Message& m) {
-  return std::visit(
+  Bytes frame = std::visit(
       [](const auto& body) -> Bytes {
         using T = std::decay_t<decltype(body)>;
         if constexpr (std::is_same_v<T, ChallengeMsg>) {
@@ -434,8 +399,6 @@ Bytes EncodeMessage(const Message& m) {
           return EncodeHelloAck(body);
         } else if constexpr (std::is_same_v<T, RoundRequestMsg>) {
           return EncodeRoundRequest(body);
-        } else if constexpr (std::is_same_v<T, PartitionMapMsg>) {
-          return EncodePartitionMap(body);
         } else if constexpr (std::is_same_v<T, TupleBatchMsg>) {
           return EncodeTupleBatch(body);
         } else if constexpr (std::is_same_v<T, AggResultMsg>) {
@@ -451,6 +414,7 @@ Bytes EncodeMessage(const Message& m) {
         }
       },
       m.body);
+  return ExtendFrame(std::move(frame), m.trace, m.checksummed);
 }
 
 Result<FrameHeader> DecodeFrameHeader(ByteView bytes) {
@@ -460,15 +424,21 @@ Result<FrameHeader> DecodeFrameHeader(ByteView bytes) {
   if (GetU16(bytes.data()) != kMagic) {
     return Status::Corruption("bad frame magic");
   }
-  FrameHeader h;
-  h.version = bytes[2];
-  if (h.version != kWireVersion && h.version != kWireVersionTraced &&
-      h.version != kWireVersionChecksummed) {
+  const uint8_t version = bytes[2] & 0x0f;
+  if (version != kWireVersion) {
     return Status::Corruption("unsupported wire version " +
-                              std::to_string(h.version));
+                              std::to_string(version));
   }
-  uint8_t type = bytes[3];
-  if (type < 1 || type > static_cast<uint8_t>(MsgType::kStatsReply)) {
+  const uint8_t flags = bytes[2] & 0xf0;
+  if ((flags & ~(kFrameFlagTrace | kFrameFlagChecksum)) != 0) {
+    return Status::Corruption("undefined frame flag bits");
+  }
+  FrameHeader h;
+  h.traced = (flags & kFrameFlagTrace) != 0;
+  h.checksummed = (flags & kFrameFlagChecksum) != 0;
+  const uint8_t type = bytes[3];
+  if (std::find(std::begin(kMessageTypes), std::end(kMessageTypes),
+                static_cast<MsgType>(type)) == std::end(kMessageTypes)) {
     return Status::Corruption("unknown message type " + std::to_string(type));
   }
   h.type = static_cast<MsgType>(type);
@@ -478,17 +448,13 @@ Result<FrameHeader> DecodeFrameHeader(ByteView bytes) {
                               std::to_string(h.payload_len) +
                               " exceeds kMaxFramePayload");
   }
-  // A traced frame must declare room for the fixed trace block; rejecting
-  // here means a truncated trace header never reaches payload allocation.
-  if (h.version == kWireVersionTraced && h.payload_len < kTraceContextSize) {
+  // The declared payload must hold the flagged extensions; rejecting here
+  // means a truncated trace block or trailer never reaches payload
+  // allocation.
+  if (h.payload_len < (h.traced ? kTraceContextSize : 0) +
+                          (h.checksummed ? kFrameChecksumSize : 0)) {
     return Status::Corruption(
-        "traced frame declares payload shorter than the trace context");
-  }
-  // Likewise a checksummed frame must declare room for its trailer.
-  if (h.version == kWireVersionChecksummed &&
-      h.payload_len < kFrameChecksumSize) {
-    return Status::Corruption(
-        "checksummed frame declares payload shorter than the checksum");
+        "frame declares payload shorter than its flagged extensions");
   }
   return h;
 }
@@ -500,7 +466,7 @@ Result<Message> DecodeMessage(ByteView frame) {
   }
   size_t body_len = h.payload_len;
   Message m;
-  if (h.version == kWireVersionChecksummed) {
+  if (h.checksummed) {
     body_len -= kFrameChecksumSize;
     uint64_t claimed = GetU64(frame.data() + kFrameHeaderSize + body_len);
     uint64_t actual =
@@ -511,7 +477,7 @@ Result<Message> DecodeMessage(ByteView frame) {
     m.checksummed = true;
   }
   Reader r(frame.subview(kFrameHeaderSize, body_len));
-  if (h.version == kWireVersionTraced) {
+  if (h.traced) {
     PDS_ASSIGN_OR_RETURN(TraceContext ctx, DecodeTraceContext(&r));
     m.trace = ctx;
   }
@@ -530,10 +496,6 @@ Result<Message> DecodeMessage(ByteView frame) {
     }
     case MsgType::kRoundRequest: {
       PDS_ASSIGN_OR_RETURN(m.body, DecodeRoundRequest(&r));
-      break;
-    }
-    case MsgType::kPartitionMap: {
-      PDS_ASSIGN_OR_RETURN(m.body, DecodePartitionMap(&r));
       break;
     }
     case MsgType::kTupleBatch: {

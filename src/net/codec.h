@@ -2,6 +2,7 @@
 #define PDS_NET_CODEC_H_
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -13,38 +14,42 @@
 #include "crypto/sha256.h"
 #include "global/common.h"
 
-/// pds::net codec — the versioned, length-prefixed binary wire format of the
+/// pds::net codec — the length-prefixed binary wire format of the
 /// token <-> SSI link.
 ///
-/// Every frame is
+/// Every frame opens with one 8-byte header (little endian):
 ///
-///   [magic u16][version u8][type u8][payload_len u32][payload bytes]
+///   [magic u16][flags|version u8][type u8][payload_len u32][payload bytes]
 ///
-/// (little endian, 8-byte header). Deserialization is total: any truncated,
-/// oversized or corrupt input returns a Status — never UB, never a partial
-/// message. Every declared length is checked against a compile-time maximum
-/// (kMax*) *before* any allocation, so a hostile peer cannot make the SSI or
-/// a token allocate from a lying length field.
+/// Byte 2 holds kWireVersion in its low nibble and the extension flags in
+/// its high bits. The extensions compose; a frame carrying both is
+///
+///   [header][trace context][body][checksum trailer]
+///
+/// and payload_len counts everything after the header, so transports never
+/// look past it. Deserialization is total: any truncated, oversized or
+/// corrupt input returns a Status — never UB, never a partial message. Every
+/// declared length is checked against a compile-time maximum (kMax*)
+/// *before* any allocation, so a hostile peer cannot make the SSI or a token
+/// allocate from a lying length field.
 namespace pds::net {
 
 inline constexpr uint16_t kMagic = 0x50D5;
+/// Low nibble of header byte 2.
 inline constexpr uint8_t kWireVersion = 1;
-/// Version-2 frame: identical header, but the payload opens with a
-/// fixed-size trace-context block (see TraceContext below) ahead of the
-/// message body. v1 frames stay byte-identical — a peer that never calls
-/// AttachTraceContext emits exactly the old wire format.
-inline constexpr uint8_t kWireVersionTraced = 2;
-/// Version-3 frame: a v1 body followed by an 8-byte FNV-1a64 checksum over
-/// everything before it (header + body), counted inside payload_len so
-/// transports are untouched. The checksum is an *accident* detector for the
-/// fault-injection harness — it is not a MAC and detects no adversary; the
-/// integrity layer (global::IntegrityVerdict) owns tamper detection. v3
-/// frames never carry trace context.
-inline constexpr uint8_t kWireVersionChecksummed = 3;
+/// Extension flag: the payload opens with a fixed-size TraceContext block
+/// ahead of the message body.
+inline constexpr uint8_t kFrameFlagTrace = 0x40;
+/// Extension flag: the payload ends with an 8-byte FNV-1a64 trailer over
+/// every byte before it (header, trace block, body). The checksum is an
+/// *accident* detector for the fault-injection harness — it is not a MAC
+/// and detects no adversary; the integrity layer (global::IntegrityVerdict)
+/// owns tamper detection.
+inline constexpr uint8_t kFrameFlagChecksum = 0x80;
 inline constexpr size_t kFrameHeaderSize = 8;
 /// trace_id u64 + parent_span_id u64 + flags u8 (bit0 = sampled).
 inline constexpr size_t kTraceContextSize = 17;
-/// FNV-1a64 trailer of a version-3 frame.
+/// FNV-1a64 trailer of a kFrameFlagChecksum frame.
 inline constexpr size_t kFrameChecksumSize = 8;
 
 /// Compile-time bounds a decoder must check declared lengths against before
@@ -53,7 +58,6 @@ inline constexpr size_t kMaxFramePayload = 1u << 20;  // 1 MiB per frame
 inline constexpr size_t kMaxBatchTuples = 1u << 16;   // cts per batch
 inline constexpr size_t kMaxTupleBytes = 1u << 16;    // one ciphertext
 inline constexpr size_t kMaxGroupBytes = 1u << 10;    // one group label
-inline constexpr size_t kMaxPartitions = 1u << 16;    // partition map rows
 inline constexpr size_t kMaxNonceBytes = 64;          // handshake nonce
 inline constexpr size_t kMaxPackedSlots = 256;        // packed-round domain labels
 inline constexpr size_t kMaxPackedCiphertextBytes = 2048;  // one packed ct (n^2)
@@ -64,7 +68,6 @@ enum class MsgType : uint8_t {
   kHello = 2,         // token -> SSI: token id + attestation proof
   kHelloAck = 3,      // SSI -> token: session accepted or refused
   kRoundRequest = 4,  // SSI -> token: protocol round header (+ batch)
-  kPartitionMap = 5,  // SSI -> token: partition layout of this round
   kTupleBatch = 6,    // token -> SSI: encrypted tuple/partial-agg batch
   kAggResult = 7,     // token -> SSI: plaintext final aggregate
   kError = 8,         // either direction
@@ -150,19 +153,6 @@ struct RoundRequestMsg {
   bool operator==(const RoundRequestMsg&) const = default;
 };
 
-struct PartitionAssignment {
-  uint32_t partition = 0;  // partition index within the round
-  uint32_t session = 0;    // session index that aggregates it
-  uint32_t num_items = 0;  // ciphertexts in the partition
-  bool operator==(const PartitionAssignment&) const = default;
-};
-
-struct PartitionMapMsg {
-  uint32_t round_id = 0;
-  std::vector<PartitionAssignment> parts;
-  bool operator==(const PartitionMapMsg&) const = default;
-};
-
 struct TupleBatchMsg {
   uint32_t round_id = 0;
   uint64_t token_ops = 0;  // crypto ops spent producing this batch
@@ -207,7 +197,7 @@ struct StatsReplyMsg {
   bool operator==(const StatsReplyMsg&) const = default;
 };
 
-/// Distributed-trace context carried by version-2 frames: the sender's
+/// Distributed-trace context carried by kFrameFlagTrace frames: the sender's
 /// span id that receiver-side spans should parent under, plus the root
 /// sampling decision. Trace ids must come from the *non-secret* RNG — the
 /// block travels in cleartext and is a secret-flow sink like the encoders.
@@ -218,31 +208,39 @@ struct TraceContext {
   bool operator==(const TraceContext&) const = default;
 };
 
-/// Decoded frame: the variant order matches the MsgType values.
+/// Decoded frame body. MsgType code 5 is unassigned, so variant index and
+/// MsgType value differ: kMessageTypes maps one to the other.
 using MessageBody =
     std::variant<ChallengeMsg, HelloMsg, HelloAckMsg, RoundRequestMsg,
-                 PartitionMapMsg, TupleBatchMsg, AggResultMsg, ErrorMsg,
-                 ByeMsg, StatsRequestMsg, StatsReplyMsg>;
+                 TupleBatchMsg, AggResultMsg, ErrorMsg, ByeMsg,
+                 StatsRequestMsg, StatsReplyMsg>;
+
+/// The MsgType of each MessageBody alternative, in variant order.
+inline constexpr MsgType kMessageTypes[] = {
+    MsgType::kChallenge,    MsgType::kHello,     MsgType::kHelloAck,
+    MsgType::kRoundRequest, MsgType::kTupleBatch, MsgType::kAggResult,
+    MsgType::kError,        MsgType::kBye,       MsgType::kStatsRequest,
+    MsgType::kStatsReply};
+static_assert(std::size(kMessageTypes) == std::variant_size_v<MessageBody>);
 
 struct Message {
   MessageBody body;
-  /// Present iff the frame arrived with version-2 trace context.
+  /// Trace context: present iff the frame carries kFrameFlagTrace.
   std::optional<TraceContext> trace;
-  /// True iff the frame arrived as version 3 with a valid checksum trailer.
-  /// A peer seeing this knows checksummed frames are in effect and mirrors
-  /// them on its own sends.
+  /// The frame carries kFrameFlagChecksum (with a valid trailer). A peer
+  /// seeing this knows checksummed frames are in effect and mirrors them on
+  /// its own sends.
   bool checksummed = false;
-  [[nodiscard]] MsgType type() const {
-    return static_cast<MsgType>(body.index() + 1);
-  }
+  [[nodiscard]] MsgType type() const { return kMessageTypes[body.index()]; }
   bool operator==(const Message&) const = default;
 };
 
-/// Parsed frame header (magic already verified).
+/// Parsed frame header (magic and version already verified).
 struct FrameHeader {
-  uint8_t version = 0;
   MsgType type = MsgType::kError;
   uint32_t payload_len = 0;
+  bool traced = false;       // kFrameFlagTrace
+  bool checksummed = false;  // kFrameFlagChecksum
 };
 
 /// Serializes one message into a complete frame (header + payload).
@@ -251,35 +249,32 @@ struct FrameHeader {
 /// token/SSI trust boundary onto the wire, so anything secret-tagged must
 /// pass through Encrypt*/Hmac first or carry an explicit declassify.
 // pdslint: sink(EncodeChallenge, EncodeHello, EncodeHelloAck,
-//               EncodeRoundRequest, EncodePartitionMap, EncodeTupleBatch,
-//               EncodeAggResult, EncodeError, EncodeBye, EncodeMessage,
-//               EncodeStatsRequest, EncodeStatsReply, AttachTraceContext)
+//               EncodeRoundRequest, EncodeTupleBatch, EncodeAggResult,
+//               EncodeError, EncodeBye, EncodeMessage, EncodeStatsRequest,
+//               EncodeStatsReply, ExtendFrame)
 [[nodiscard]] Bytes EncodeChallenge(const ChallengeMsg& m);
 [[nodiscard]] Bytes EncodeHello(const HelloMsg& m);
 [[nodiscard]] Bytes EncodeHelloAck(const HelloAckMsg& m);
 [[nodiscard]] Bytes EncodeRoundRequest(const RoundRequestMsg& m);
-[[nodiscard]] Bytes EncodePartitionMap(const PartitionMapMsg& m);
 [[nodiscard]] Bytes EncodeTupleBatch(const TupleBatchMsg& m);
 [[nodiscard]] Bytes EncodeAggResult(const AggResultMsg& m);
 [[nodiscard]] Bytes EncodeError(const ErrorMsg& m);
 [[nodiscard]] Bytes EncodeBye();
 [[nodiscard]] Bytes EncodeStatsRequest();
 [[nodiscard]] Bytes EncodeStatsReply(const StatsReplyMsg& m);
+/// Encodes the body, then applies m.trace and m.checksummed (ExtendFrame),
+/// so EncodeMessage(DecodeMessage(f)) reproduces f.
 [[nodiscard]] Bytes EncodeMessage(const Message& m);
 
-/// Rewrites a sealed v1 frame into its version-2 equivalent carrying `ctx`
-/// ahead of the message body (payload_len grows by kTraceContextSize, so
-/// streaming receivers need no change). The trace block is cleartext on the
-/// wire: ctx must never be derived from secret material.
-[[nodiscard]] Bytes AttachTraceContext(const Bytes& v1_frame,
-                                       const TraceContext& ctx);
-
-/// Rewrites a sealed v1 frame into its version-3 equivalent: the FNV-1a64
-/// of the header+body is appended as an 8-byte little-endian trailer and
-/// payload_len grows by kFrameChecksumSize. DecodeMessage verifies the
-/// trailer (Corruption on mismatch) and strips it before body decode.
-/// Checksummed frames cannot also carry trace context.
-[[nodiscard]] Bytes AppendFrameChecksum(const Bytes& v1_frame);
+/// Adds wire extensions to a plain frame (as the Encode* functions emit):
+/// `trace` sets kFrameFlagTrace and puts its block ahead of the body,
+/// `checksum` sets kFrameFlagChecksum and appends the trailer. payload_len
+/// grows by what was added, so streaming receivers need no change; with
+/// neither, the frame comes back as is. The trace block is cleartext on the
+/// wire: it must never be derived from secret material.
+[[nodiscard]] Bytes ExtendFrame(Bytes frame,
+                                const std::optional<TraceContext>& trace,
+                                bool checksum);
 
 /// Encodes DetParams into its fixed 25-byte blob (batch entry 0 of a
 /// kDetCollect request) — not a frame, carries no header.
@@ -289,15 +284,17 @@ struct FrameHeader {
 /// with a known variant and a finite, non-negative noise ratio.
 [[nodiscard]] Result<DetParams> DecodeDetParams(ByteView blob);
 
-/// Validates magic/version/type and that the declared payload length is
-/// within kMaxFramePayload. `bytes` must hold at least kFrameHeaderSize
-/// bytes; the declared length may exceed what follows (streaming callers use
-/// the header to know how much more to read).
+/// Validates magic, version, flags and type, and that the declared payload
+/// length is within kMaxFramePayload and leaves room for the flagged
+/// extensions. `bytes` must hold at least kFrameHeaderSize bytes; the
+/// declared length may exceed what follows (streaming callers use the header
+/// to know how much more to read).
 [[nodiscard]] Result<FrameHeader> DecodeFrameHeader(ByteView bytes);
 
 /// Decodes one complete frame. The payload must be exactly the declared
-/// length and every contained field must be in bounds; trailing bytes are a
-/// Corruption error.
+/// length, a flagged checksum trailer must match (Corruption otherwise), and
+/// every contained field must be in bounds; trailing bytes are a Corruption
+/// error.
 [[nodiscard]] Result<Message> DecodeMessage(ByteView frame);
 
 /// Decodes a frame and requires it to be the given message type, otherwise

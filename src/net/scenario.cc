@@ -457,7 +457,7 @@ std::vector<ScenarioSpec> DefaultMatrix(uint64_t seed, bool use_socket) {
       {"duplicate", &FaultPlan::duplicate_rate, 0, 1.0, false},
       {"reorder", &FaultPlan::reorder_rate, 1, 1.0, false},
       // Damage faults: session 0 is lost, the run degrades to quorum. These
-      // run over the checksummed wire (v3): a flipped bit can land in a
+      // run over the checksummed wire: a flipped bit can land in a
       // field like the round kind and still decode as a valid frame, so
       // framing alone cannot catch it — the FNV trailer can.
       {"truncate", &FaultPlan::truncate_rate, 0, 0.6, true},
@@ -485,8 +485,8 @@ std::vector<ScenarioSpec> DefaultMatrix(uint64_t seed, bool use_socket) {
     }
   }
 
-  // Sealed-batch tampering: one cell per TamperingSsi-style action, plus a
-  // benign sealed round proving the audit passes honest pools.
+  // Sealed-batch tampering: one cell per global::SealedTampering action,
+  // plus a benign sealed round proving the audit passes honest pools.
   const AdversaryAction sealed_actions[] = {
       AdversaryAction::kNone, AdversaryAction::kSubstituteCiphertext,
       AdversaryAction::kReplayCiphertext, AdversaryAction::kOmitCiphertext,

@@ -84,11 +84,9 @@ SsiServer::SsiServer(const Config& config)
       clock_(config.clock != nullptr ? config.clock : WallClock()),
       trace_rng_(config.nonce_seed ^ 0x7472616365ULL) {}
 
-Bytes SsiServer::MaybeChecksum(Bytes frame) const {
-  if (!config_.checksum_frames) {
-    return frame;
-  }
-  return AppendFrameChecksum(frame);
+Bytes SsiServer::Outgoing(Bytes frame,
+                          const std::optional<TraceContext>& trace) const {
+  return ExtendFrame(std::move(frame), trace, config_.checksum_frames);
 }
 
 bool SsiServer::IsStragglerFailure(const Status& s) {
@@ -115,7 +113,7 @@ Result<size_t> SsiServer::Handshake(std::unique_ptr<Transport> transport,
   challenge.nonce.resize(16);
   nonce_rng.FillBytes(challenge.nonce.data(), challenge.nonce.size());
 
-  Bytes frame = MaybeChecksum(EncodeChallenge(challenge));
+  Bytes frame = Outgoing(EncodeChallenge(challenge));
   PDS_RETURN_IF_ERROR(transport->Send(frame));
   PDS_ASSIGN_OR_RETURN(Bytes reply,
                        transport->Recv(config_.deadline_ms));
@@ -126,7 +124,7 @@ Result<size_t> SsiServer::Handshake(std::unique_ptr<Transport> transport,
       config_.verifier->VerifyAttestation(ByteView(challenge.nonce),
                                           hello.proof));
   HelloAckMsg ack{ok_proof};
-  PDS_RETURN_IF_ERROR(transport->Send(MaybeChecksum(EncodeHelloAck(ack))));
+  PDS_RETURN_IF_ERROR(transport->Send(Outgoing(EncodeHelloAck(ack))));
   if (!ok_proof) {
     transport->Close();
     return Status::PermissionDenied(
@@ -173,7 +171,7 @@ Result<size_t> SsiServer::ReadmitSession(
   return Handshake(std::move(transport), /*readmit=*/true);
 }
 
-Result<Message> SsiServer::RoundTrip(Session* s, const Bytes& frame,
+Result<Message> SsiServer::RoundTrip(Session* s, Bytes frame,
                                      uint32_t round_id,
                                      global::RoundCost* cost) {
   const NetObs& hooks = NetHooks();
@@ -181,21 +179,11 @@ Result<Message> SsiServer::RoundTrip(Session* s, const Bytes& frame,
   // id rides the wire as the trace-context parent so the token's handler
   // span hangs under it in the merged cross-process trace.
   obs::Span rt_span("net.round-trip", "net");
-  Bytes rewritten;
-  const Bytes* wire_frame = &frame;
-  if (config_.checksum_frames) {
-    // v3 frames carry the checksum trailer instead of trace context (the
-    // two header rewrites are mutually exclusive by design).
-    rewritten = AppendFrameChecksum(frame);
-    wire_frame = &rewritten;
-  } else if (rt_span.id() != 0) {
-    TraceContext ctx;
-    ctx.trace_id = run_trace_id_;
-    ctx.parent_span_id = rt_span.id();
-    ctx.sampled = true;
-    rewritten = AttachTraceContext(frame, ctx);
-    wire_frame = &rewritten;
+  std::optional<TraceContext> trace;
+  if (rt_span.id() != 0) {
+    trace = TraceContext{run_trace_id_, rt_span.id(), /*sampled=*/true};
   }
+  const Bytes wire_frame = Outgoing(std::move(frame), trace);
   // Admission-control gauge: bytes of this session's in-flight request,
   // released however the round trip ends.
   SessionStats* stats = s->stats.get();
@@ -206,7 +194,7 @@ Result<Message> SsiServer::RoundTrip(Session* s, const Bytes& frame,
     }
   } in_flight{stats};
   if (stats != nullptr) {
-    stats->buffer_bytes.Set(static_cast<double>(wire_frame->size()));
+    stats->buffer_bytes.Set(static_cast<double>(wire_frame.size()));
   }
   for (uint32_t attempt = 0; attempt <= config_.max_retries; ++attempt) {
     if (attempt > 0) {
@@ -218,8 +206,8 @@ Result<Message> SsiServer::RoundTrip(Session* s, const Bytes& frame,
       clock_->SleepMs(config_.backoff_ms * attempt);
     }
     uint64_t attempt_start_ns = clock_->NowNs();
-    PDS_RETURN_IF_ERROR(s->transport->Send(*wire_frame));
-    cost->metrics.AddSsiToToken(wire_frame->size());
+    PDS_RETURN_IF_ERROR(s->transport->Send(wire_frame));
+    cost->metrics.AddSsiToToken(wire_frame.size());
     hooks.frames_sent->Add(1);
 
     const uint64_t deadline_ns =
@@ -429,21 +417,6 @@ class SsiServer::Channel final : public global::RoundChannel {
       size_t r, std::span<const global::Partition> parts,
       global::RoundCost* cost) override {
     Session* s = session(r);
-    // Announce this session's slice of the layout, then stream its
-    // partitions in order.
-    PartitionMapMsg pm;
-    pm.round_id = s->next_round_id;
-    pm.parts.reserve(parts.size());
-    for (const global::Partition& p : parts) {
-      pm.parts.push_back({static_cast<uint32_t>(p.index),
-                          static_cast<uint32_t>(r),
-                          static_cast<uint32_t>(p.items.size())});
-    }
-    Bytes pm_frame = server_->MaybeChecksum(EncodePartitionMap(pm));
-    PDS_RETURN_IF_ERROR(s->transport->Send(pm_frame));
-    cost->metrics.AddSsiToToken(pm_frame.size());
-    NetHooks().frames_sent->Add(1);
-
     std::vector<std::vector<Bytes>> out;
     out.reserve(parts.size());
     for (const global::Partition& p : parts) {
@@ -773,7 +746,7 @@ void SsiServer::Shutdown() {
   for (auto& s : sessions_) {
     if (s->alive && !s->transport->closed()) {
       // Best-effort farewell; the transport may already be gone.
-      (void)s->transport->Send(MaybeChecksum(EncodeBye()));
+      (void)s->transport->Send(Outgoing(EncodeBye()));
     }
     s->transport->Close();
     s->alive = false;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,10 +61,11 @@ class SsiServer {
     mcu::SecureToken* verifier = nullptr;
     /// Seed for handshake challenge nonces (deterministic tests).
     uint64_t nonce_seed = 42;
-    /// Append an FNV-1a64 checksum trailer to every outgoing frame (wire
-    /// version 3); tokens mirror it once they see a checksummed frame.
-    /// Detects *accidental* corruption early — adversarial detection stays
-    /// with the integrity layer. Mutually exclusive with trace context.
+    /// Append an FNV-1a64 checksum trailer to every outgoing frame
+    /// (kFrameFlagChecksum); tokens mirror it once they see a checksummed
+    /// frame. Detects *accidental* corruption early — adversarial detection
+    /// stays with the integrity layer. Composes with trace context: a traced
+    /// round trip carries both.
     bool checksum_frames = false;
     /// Clock behind every deadline, retry backoff, and round-trip latency
     /// measurement. Null means the process wall clock; the simulation tier
@@ -263,7 +265,7 @@ class SsiServer {
   /// frames are discarded in place — a lossy or bit-flipping link must not
   /// kill the session while the stream itself stays framed.
   /// `cost` accumulates the measured frame bytes both ways.
-  [[nodiscard]] Result<Message> RoundTrip(Session* s, const Bytes& frame,
+  [[nodiscard]] Result<Message> RoundTrip(Session* s, Bytes frame,
                                           uint32_t round_id,
                                           global::RoundCost* cost);
 
@@ -271,8 +273,10 @@ class SsiServer {
   [[nodiscard]] Result<size_t> Handshake(std::unique_ptr<Transport> transport,
                                          bool readmit);
 
-  /// Applies Config::checksum_frames to an outgoing sealed v1 frame.
-  [[nodiscard]] Bytes MaybeChecksum(Bytes frame) const;
+  /// Every frame the SSI sends passes here: adds `trace` (round trips under
+  /// a recording tracer) and, per Config::checksum_frames, the trailer.
+  [[nodiscard]] Bytes Outgoing(
+      Bytes frame, const std::optional<TraceContext>& trace = {}) const;
 
   Config config_;
   Clock* clock_;  // never null: Config::clock or the wall clock
@@ -289,7 +293,7 @@ class SsiServer {
   obs::SnapshotRing stats_ring_{8};
   /// Trace ids for outgoing trace-context blocks. Seeded from the public
   /// nonce seed — deliberately the *non-secret* RNG: trace ids travel in
-  /// cleartext (the codec treats AttachTraceContext as a secret-flow sink).
+  /// cleartext (the codec treats ExtendFrame as a secret-flow sink).
   Rng trace_rng_;
   uint64_t run_trace_id_ = 0;
 };

@@ -121,11 +121,9 @@ Status TokenClient::Handshake() {
   return OnAckFrame(ack_frame);
 }
 
-Status TokenClient::SendFrame(const Bytes& frame) {
-  if (peer_checksummed_) {
-    return transport_->Send(AppendFrameChecksum(frame));
-  }
-  return transport_->Send(frame);
+Status TokenClient::SendFrame(Bytes frame) {
+  return transport_->Send(
+      ExtendFrame(std::move(frame), std::nullopt, peer_checksummed_));
 }
 
 // pdslint: secret(reply)
@@ -329,9 +327,6 @@ Status TokenClient::ServeFrame(const Bytes& frame, bool* done) {
   if (std::get_if<ByeMsg>(&m.body) != nullptr) {
     *done = true;
     return Status::Ok();
-  }
-  if (std::get_if<PartitionMapMsg>(&m.body) != nullptr) {
-    return Status::Ok();  // layout announcement; the requests follow
   }
   const RoundRequestMsg* req = std::get_if<RoundRequestMsg>(&m.body);
   if (req == nullptr) {

@@ -141,7 +141,7 @@ class TokenClient {
   [[nodiscard]] Status ServeFrame(const Bytes& frame, bool* done);
   /// All frames leave through here: mirrors the SSI's checksum trailer once
   /// one has been seen on the inbound side.
-  [[nodiscard]] Status SendFrame(const Bytes& frame);
+  [[nodiscard]] Status SendFrame(Bytes frame);
   /// Single egress point for decrypted per-group aggregates.
   [[nodiscard]] Status SendAggResult(const AggResultMsg& reply);
   /// Fault-plan churn: after enough replies, close the transport, back off

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "common/rng.h"
@@ -390,34 +391,51 @@ TEST_F(IntegrityTest, DetectsUnknownParticipant) {
   EXPECT_FALSE(verdict->ok);
 }
 
-TEST_F(IntegrityTest, TamperingSsiActsAtConfiguredRates) {
-  auto batch = MakeBatch(7, 1000);
-  ASSERT_TRUE(batch.ok());
-  TamperingSsi ssi({0.1, 0.05, 0.05, 42});
-  auto actions = ssi.Tamper(&*batch);
-  EXPECT_NEAR(static_cast<double>(actions.dropped), 100, 40);
-  EXPECT_NEAR(static_cast<double>(actions.duplicated), 50, 30);
-  EXPECT_NEAR(static_cast<double>(actions.altered), 50, 30);
-}
-
 TEST_F(IntegrityTest, AnyTamperingIsDetected) {
-  // Sweep tamper rates; whenever the SSI acted, verification must fail.
+  // Sweep tamper rates. Each batch gets one single action per
+  // Bernoulli(rate) hit over its tuples, the four actions freely mixed, so
+  // count-preserving omit+replay combinations occur too. Whenever the pool
+  // the querier receives differs from the honest one (an omit can undo a
+  // replay, two flips of one bit cancel), verification must fail; when it
+  // does not, it must pass.
+  auto honest = MakeBatch(7, 500);
+  ASSERT_TRUE(honest.ok());
+  auto manifest = MakeManifest(producer_.get(), 7, 500);
+  ASSERT_TRUE(manifest.ok());
+  auto pool_key = [](const std::vector<SealedTuple>& tuples,
+                     const std::vector<Manifest>& manifests) {
+    std::vector<Bytes> key;
+    for (const SealedTuple& t : tuples) key.push_back(EncodeSealedTuple(t));
+    std::sort(key.begin(), key.end());
+    for (const Manifest& m : manifests) key.push_back(EncodeManifest(m));
+    return key;
+  };
+  const std::vector<Bytes> honest_key = pool_key(*honest, {*manifest});
+  Rng rng(2024);
+  size_t tampered = 0, count_preserving = 0;
   for (double rate : {0.001, 0.01, 0.1, 0.5}) {
-    auto batch = MakeBatch(7, 500);
-    ASSERT_TRUE(batch.ok());
-    auto manifest = MakeManifest(producer_.get(), 7, 500);
-    TamperingSsi ssi({rate, rate, rate,
-                      static_cast<uint64_t>(rate * 10000)});
-    auto actions = ssi.Tamper(&*batch);
-    auto verdict = VerifyBatch(verifier_.get(), *batch, {*manifest});
-    ASSERT_TRUE(verdict.ok());
-    if (actions.total() > 0) {
-      EXPECT_FALSE(verdict->ok) << "rate " << rate << " actions "
-                                << actions.total();
-    } else {
-      EXPECT_TRUE(verdict->ok);
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<SealedTuple> batch = *honest;
+      std::vector<Manifest> manifests = {*manifest};
+      for (size_t i = 0; i < honest->size(); ++i) {
+        if (rng.Bernoulli(rate)) {
+          ApplySealedTampering(
+              static_cast<SealedTampering>(1 + rng.Uniform(4)), &rng, &batch,
+              &manifests);
+        }
+      }
+      auto verdict = VerifyBatch(verifier_.get(), batch, manifests);
+      ASSERT_TRUE(verdict.ok());
+      const bool changed = pool_key(batch, manifests) != honest_key;
+      tampered += changed ? 1 : 0;
+      count_preserving += changed && batch.size() == honest->size() ? 1 : 0;
+      EXPECT_EQ(verdict->ok, !changed)
+          << "rate " << rate << " trial " << trial << ": "
+          << verdict->problem;
     }
   }
+  EXPECT_GT(tampered, 0u);
+  EXPECT_GT(count_preserving, 0u);
 }
 
 }  // namespace

@@ -34,10 +34,6 @@ std::vector<Message> AllMessageTypes() {
   req.header = {7, RoundKind::kAggregate, global::AggFunc::kAvg};
   req.batch = {SomeCiphertext(2, 40), SomeCiphertext(3, 64)};
   msgs.push_back({req});
-  PartitionMapMsg pm;
-  pm.round_id = 9;
-  pm.parts = {{0, 2, 100}, {1, 0, 56}};
-  msgs.push_back({pm});
   TupleBatchMsg tb;
   tb.round_id = 7;
   tb.token_ops = 12;
@@ -113,13 +109,40 @@ TEST(NetCodecTest, HeaderRejectsBadMagic) {
 
 TEST(NetCodecTest, HeaderRejectsWrongVersion) {
   Bytes frame = EncodeBye();
-  frame[2] = kWireVersionTraced + 1;
+  frame[2] = kWireVersion + 1;
   EXPECT_EQ(DecodeMessage(frame).status().code(), StatusCode::kCorruption);
+  // The version nibble is checked under the extension flags too.
+  frame[2] = (kWireVersion + 1) | kFrameFlagTrace;
+  EXPECT_EQ(DecodeFrameHeader(frame).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(NetCodecTest, HeaderRejectsUndefinedFlagBits) {
+  // Only the trace and checksum flags are defined; the other two high bits
+  // of byte 2 are corruption, alone or next to a defined flag.
+  for (uint8_t bad : {uint8_t{0x10}, uint8_t{0x20},
+                      static_cast<uint8_t>(0x10 | kFrameFlagTrace),
+                      static_cast<uint8_t>(0x20 | kFrameFlagChecksum)}) {
+    Bytes frame = ExtendFrame(EncodeBye(), TraceContext{1, 2, true}, true);
+    frame[2] = kWireVersion | bad;
+    EXPECT_EQ(DecodeFrameHeader(frame).status().code(),
+              StatusCode::kCorruption)
+        << static_cast<int>(bad);
+  }
+}
+
+TEST(NetCodecTest, HeaderRejectsRetiredPartitionMapType) {
+  // Code 5 belonged to the partition-map announcement; it is unassigned
+  // now and must decode as an unknown type, not as its neighbour.
+  Bytes frame = EncodeBye();
+  frame[3] = 5;
+  EXPECT_EQ(DecodeFrameHeader(frame).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST(NetCodecTest, UntracedFramesStillDecodeWithoutTraceContext) {
-  // Back-compat: every v1 frame decodes exactly as before, with no trace
-  // context attached.
+  // A frame without extensions carries no flag bits and decodes with no
+  // trace context attached.
   for (const Message& m : AllMessageTypes()) {
     Bytes frame = EncodeMessage(m);
     EXPECT_EQ(frame[2], kWireVersion);
@@ -132,10 +155,11 @@ TEST(NetCodecTest, UntracedFramesStillDecodeWithoutTraceContext) {
 TEST(NetCodecTest, TraceContextRoundTripsOnEveryMessageType) {
   const TraceContext ctx{0x1122334455667788ULL, 0xAABBCCDDEEFF0011ULL, true};
   for (const Message& m : AllMessageTypes()) {
-    Bytes traced = AttachTraceContext(EncodeMessage(m), ctx);
+    Bytes traced = ExtendFrame(EncodeMessage(m), ctx, false);
     auto header = DecodeFrameHeader(traced);
     ASSERT_TRUE(header.ok()) << header.status().ToString();
-    EXPECT_EQ(header->version, kWireVersionTraced);
+    EXPECT_TRUE(header->traced);
+    EXPECT_FALSE(header->checksummed);
     auto decoded = DecodeMessage(traced);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     ASSERT_TRUE(decoded->trace.has_value());
@@ -146,15 +170,15 @@ TEST(NetCodecTest, TraceContextRoundTripsOnEveryMessageType) {
 }
 
 TEST(NetCodecTest, TracedHeaderRejectsTruncatedTraceBlock) {
-  // A v2 frame whose declared payload cannot even hold the trace block is
-  // rejected from the header alone, before any allocation.
+  // A traced frame whose declared payload cannot even hold the trace block
+  // is rejected from the header alone, before any allocation.
   Bytes frame = EncodeBye();  // payload_len = 0
-  frame[2] = kWireVersionTraced;
+  frame[2] = kWireVersion | kFrameFlagTrace;
   EXPECT_EQ(DecodeFrameHeader(frame).status().code(),
             StatusCode::kCorruption);
 
   // One byte short of a full trace block: still a header-level reject.
-  Bytes traced = AttachTraceContext(EncodeBye(), TraceContext{1, 2, true});
+  Bytes traced = ExtendFrame(EncodeBye(), TraceContext{1, 2, true}, false);
   traced.pop_back();
   EncodeU32(traced.data() + 4,
             static_cast<uint32_t>(traced.size() - kFrameHeaderSize));
@@ -163,19 +187,101 @@ TEST(NetCodecTest, TracedHeaderRejectsTruncatedTraceBlock) {
 }
 
 TEST(NetCodecTest, TraceContextRejectsUndefinedFlagBits) {
-  Bytes traced = AttachTraceContext(EncodeBye(), TraceContext{1, 2, false});
+  Bytes traced = ExtendFrame(EncodeBye(), TraceContext{1, 2, false}, false);
   // The flags byte is the last byte of the 17-byte trace block.
   traced[kFrameHeaderSize + kTraceContextSize - 1] = 0x02;
   EXPECT_EQ(DecodeMessage(traced).status().code(), StatusCode::kCorruption);
 }
 
 TEST(NetCodecTest, TraceContextTruncationSweepNeverSucceeds) {
-  Bytes traced = AttachTraceContext(
+  Bytes traced = ExtendFrame(
       EncodeStatsReply(StatsReplyMsg{"{\"fleet\": {}}"}),
-      TraceContext{3, 4, true});
+      TraceContext{3, 4, true}, false);
   for (size_t len = 0; len < traced.size(); ++len) {
     EXPECT_FALSE(DecodeMessage(ByteView(traced.data(), len)).ok())
         << "prefix " << len;
+  }
+}
+
+TEST(NetCodecTest, ChecksumTrailerMismatchIsCorruption) {
+  TupleBatchMsg tb;
+  tb.round_id = 3;
+  tb.batch = {SomeCiphertext(9, 24)};
+  const Bytes frame = ExtendFrame(EncodeTupleBatch(tb), std::nullopt, true);
+  auto decoded = DecodeMessage(frame);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(decoded->checksummed);
+  EXPECT_FALSE(decoded->trace.has_value());
+  // A flipped bit anywhere -- header, body or the trailer itself -- fails
+  // the trailer check (or the header checks before it).
+  for (size_t i : {size_t{4}, kFrameHeaderSize + 5, frame.size() - 1}) {
+    Bytes bad = frame;
+    bad[i] ^= 0x01;
+    EXPECT_EQ(DecodeMessage(bad).status().code(), StatusCode::kCorruption)
+        << "byte " << i;
+  }
+  Bytes bad = frame;
+  bad[kFrameHeaderSize + 5] ^= 0x01;
+  EXPECT_NE(DecodeMessage(bad).status().message().find("checksum"),
+            std::string::npos);
+}
+
+TEST(NetCodecTest, ChecksumHeaderRejectsPayloadShorterThanTrailer) {
+  // Rejected from the 8 header bytes alone, before any allocation: a
+  // checksum flag over fewer than 8 payload bytes, and both flags over
+  // fewer than trace block + trailer.
+  Bytes frame = EncodeBye();
+  frame[2] = kWireVersion | kFrameFlagChecksum;
+  for (uint32_t len = 0; len < kFrameChecksumSize; ++len) {
+    EncodeU32(frame.data() + 4, len);
+    EXPECT_EQ(DecodeFrameHeader(frame).status().code(),
+              StatusCode::kCorruption)
+        << len;
+  }
+  frame[2] |= kFrameFlagTrace;
+  EncodeU32(frame.data() + 4,
+            static_cast<uint32_t>(kTraceContextSize + kFrameChecksumSize - 1));
+  EXPECT_EQ(DecodeFrameHeader(frame).status().code(), StatusCode::kCorruption);
+  EncodeU32(frame.data() + 4,
+            static_cast<uint32_t>(kTraceContextSize + kFrameChecksumSize));
+  EXPECT_TRUE(DecodeFrameHeader(frame).ok());
+}
+
+TEST(NetCodecTest, TracedChecksummedTruncationSweepNeverSucceeds) {
+  Bytes frame = ExtendFrame(
+      EncodeStatsReply(StatsReplyMsg{"{\"fleet\": {}}"}),
+      TraceContext{5, 6, true}, true);
+  ASSERT_TRUE(DecodeMessage(frame).ok());
+  for (size_t len = 0; len < frame.size(); ++len) {
+    EXPECT_FALSE(DecodeMessage(ByteView(frame.data(), len)).ok())
+        << "prefix " << len;
+  }
+}
+
+TEST(NetCodecTest, EncodeInvertsDecodeForEveryTypeAndExtension) {
+  // Plain, traced, checksummed and both: each extension adds exactly its
+  // fixed size, decode recovers it, and re-encoding the decoded message
+  // gives back the same bytes.
+  const TraceContext ctx{0x0102030405060708ULL, 0x1112131415161718ULL, true};
+  for (const Message& plain : AllMessageTypes()) {
+    const size_t plain_size = EncodeMessage(plain).size();
+    for (int ext = 0; ext < 4; ++ext) {
+      Message m = plain;
+      if ((ext & 1) != 0) m.trace = ctx;
+      m.checksummed = (ext & 2) != 0;
+      const Bytes frame = EncodeMessage(m);
+      EXPECT_EQ(frame.size(),
+                plain_size + (m.trace ? kTraceContextSize : 0) +
+                    (m.checksummed ? kFrameChecksumSize : 0));
+      auto decoded = DecodeMessage(frame);
+      ASSERT_TRUE(decoded.ok())
+          << "type " << static_cast<int>(m.type()) << " ext " << ext << ": "
+          << decoded.status().ToString();
+      EXPECT_TRUE(*decoded == m)
+          << "type " << static_cast<int>(m.type()) << " ext " << ext;
+      EXPECT_EQ(EncodeMessage(*decoded), frame)
+          << "type " << static_cast<int>(m.type()) << " ext " << ext;
+    }
   }
 }
 

@@ -901,7 +901,7 @@ void ExpectWireRow(const WireRow& want, const global::Metrics& m,
 TEST(NetFramedCountersTest, EveryRunPinsItsFramesAndReport) {
   // Five aggregation runs and the sealed collect, back to back on one
   // server over 8 pumped in-process sessions. Partition capacity 16 makes
-  // the secure run stream partition maps and several partition rounds.
+  // the secure run stream several partition rounds.
   TestFleet fleet = MakeTestFleet(8);
   PackedContext ctx = MakePackedContext(8);
   SsiServer::Config scfg;
@@ -912,7 +912,7 @@ TEST(NetFramedCountersTest, EveryRunPinsItsFramesAndReport) {
   ASSERT_EQ(server.num_sessions(), 8u);
 
   const WireRow rows[] = {
-      {"secure", 39, 13506, 6768, 6738, 4, 212, 7, 0, 8, 8, 0, 0, 0, 0},
+      {"secure", 32, 13310, 6768, 6542, 4, 212, 7, 0, 8, 8, 0, 0, 0, 0},
       {"white-noise", 48, 13278, 7531, 5747, 2, 265, 83, 0, 8, 8, 0, 0, 0, 0},
       {"domain-noise", 26, 16222, 9290, 6932, 2, 341, 112, 0, 8, 8, 0, 0, 0, 0},
       {"histogram", 22, 9896, 5218, 4678, 2, 144, 72, 0, 8, 8, 0, 0, 0, 0},
@@ -1078,60 +1078,66 @@ TEST(NetTracingTest, TokenRoundSpansParentUnderSsiRoundTrips) {
   // loopback run with tracing on, every token-side round handler span must
   // be a child of one of the SSI's round-trip spans — one timeline per
   // round, stitched across the process boundary by the wire trace context.
-  obs::Tracer& tracer = obs::Tracer::Global();
-  tracer.SetEnabled(false);
-  tracer.SetSampleEveryN(1);
-  tracer.SetCapacity(1 << 14);
-  tracer.SetEnabled(true);
+  // The trace block and the checksum trailer compose, so a checksummed wire
+  // must stitch the same timeline.
+  for (bool checksum : {false, true}) {
+    SCOPED_TRACE(checksum ? "checksummed wire" : "plain wire");
+    obs::Tracer& tracer = obs::Tracer::Global();
+    tracer.SetEnabled(false);
+    tracer.SetSampleEveryN(1);
+    tracer.SetCapacity(1 << 14);
+    tracer.SetEnabled(true);
 
-  TestFleet fleet = MakeTestFleet(6);
-  SsiServer::Config scfg;
-  scfg.partition_capacity = 16;  // forces aggregate + finalize rounds
-  scfg.verifier = fleet.verifier.get();
-  SsiServer server(scfg);
-  auto clients = ConnectClients(&server, &fleet);
-  auto output = server.RunSecureAggregation(AggFunc::kSum);
-  JoinAll(&server, &clients);
-  tracer.SetEnabled(false);
-  ASSERT_TRUE(output.ok()) << output.status().ToString();
-  ASSERT_EQ(tracer.dropped(), 0u);
+    TestFleet fleet = MakeTestFleet(6);
+    SsiServer::Config scfg;
+    scfg.partition_capacity = 16;  // forces aggregate + finalize rounds
+    scfg.verifier = fleet.verifier.get();
+    scfg.checksum_frames = checksum;
+    SsiServer server(scfg);
+    auto clients = ConnectClients(&server, &fleet);
+    auto output = server.RunSecureAggregation(AggFunc::kSum);
+    JoinAll(&server, &clients);
+    tracer.SetEnabled(false);
+    ASSERT_TRUE(output.ok()) << output.status().ToString();
+    ASSERT_EQ(tracer.dropped(), 0u);
 
-  std::set<uint64_t> round_trip_ids;
-  for (const obs::SpanEvent& e : tracer.Events()) {
-    if (std::string_view(e.name) == "net.round-trip") {
-      round_trip_ids.insert(e.id);
+    std::set<uint64_t> round_trip_ids;
+    for (const obs::SpanEvent& e : tracer.Events()) {
+      if (std::string_view(e.name) == "net.round-trip") {
+        round_trip_ids.insert(e.id);
+      }
     }
-  }
-  EXPECT_FALSE(round_trip_ids.empty());
-  size_t token_spans = 0;
-  std::set<std::string> token_span_names;
-  for (const obs::SpanEvent& e : tracer.Events()) {
-    std::string_view name(e.name);
-    if (name == "net.round.collect" || name == "net.round.aggregate" ||
-        name == "net.round.finalize") {
-      ++token_spans;
-      token_span_names.insert(std::string(name));
-      EXPECT_NE(e.parent, 0u) << name;
-      EXPECT_TRUE(round_trip_ids.count(e.parent))
-          << name << " parent " << e.parent
-          << " is not an SSI round-trip span";
+    EXPECT_FALSE(round_trip_ids.empty());
+    size_t token_spans = 0;
+    std::set<std::string> token_span_names;
+    for (const obs::SpanEvent& e : tracer.Events()) {
+      std::string_view name(e.name);
+      if (name == "net.round.collect" || name == "net.round.aggregate" ||
+          name == "net.round.finalize") {
+        ++token_spans;
+        token_span_names.insert(std::string(name));
+        EXPECT_NE(e.parent, 0u) << name;
+        EXPECT_TRUE(round_trip_ids.count(e.parent))
+            << name << " parent " << e.parent
+            << " is not an SSI round-trip span";
+      }
     }
-  }
-  // Every phase of the protocol crossed the boundary: one collect per
-  // token, aggregate rounds (partition_capacity forces them at this fleet
-  // size), and the finalize.
-  EXPECT_GE(token_spans, fleet.tokens.size());
-  EXPECT_TRUE(token_span_names.count("net.round.collect"));
-  EXPECT_TRUE(token_span_names.count("net.round.aggregate"));
-  EXPECT_TRUE(token_span_names.count("net.round.finalize"));
+    // Every phase of the protocol crossed the boundary: one collect per
+    // token, aggregate rounds (partition_capacity forces them at this fleet
+    // size), and the finalize.
+    EXPECT_GE(token_spans, fleet.tokens.size());
+    EXPECT_TRUE(token_span_names.count("net.round.collect"));
+    EXPECT_TRUE(token_span_names.count("net.round.aggregate"));
+    EXPECT_TRUE(token_span_names.count("net.round.finalize"));
 
-  // And the merged view survives export: both sides' spans land in the one
-  // Chrome trace document.
-  std::ostringstream trace_out;
-  tracer.ExportChromeTrace(trace_out);
-  std::string trace = trace_out.str();
-  EXPECT_NE(trace.find("net.round-trip"), std::string::npos);
-  EXPECT_NE(trace.find("net.round.collect"), std::string::npos);
+    // And the merged view survives export: both sides' spans land in the one
+    // Chrome trace document.
+    std::ostringstream trace_out;
+    tracer.ExportChromeTrace(trace_out);
+    std::string trace = trace_out.str();
+    EXPECT_NE(trace.find("net.round-trip"), std::string::npos);
+    EXPECT_NE(trace.find("net.round.collect"), std::string::npos);
+  }
 }
 #endif  // PDS_OBS_ENABLED
 

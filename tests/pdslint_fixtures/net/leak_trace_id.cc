@@ -1,7 +1,7 @@
 // Planted leak: a trace-id "generator" that folds fleet-key bytes (a
 // built-in SymmetricKey seed — no annotation needed) into the trace_id of
 // an outgoing trace-context block. Trace ids travel in cleartext on every
-// traced frame, so AttachTraceContext is a secret-flow sink exactly like
+// traced frame, so ExtendFrame is a secret-flow sink exactly like
 // the payload encoders. ctest asserts the secret-flow rule catches this.
 
 #include <cstdint>
@@ -19,8 +19,8 @@ struct TraceContext {
   bool sampled = false;
 };
 
-// pdslint: sink(AttachTraceContext)
-Bytes AttachTraceContext(const Bytes& frame, const TraceContext& ctx);
+// pdslint: sink(ExtendFrame)
+Bytes ExtendFrame(Bytes frame, const TraceContext& trace, bool checksum);
 
 struct TokenConfig {
   SymmetricKey fleet_key;
@@ -35,5 +35,5 @@ Bytes TraceFrameWithKeyedId(const TokenConfig& cfg, const Bytes& frame) {
   ctx.trace_id = trace_id;
   ctx.parent_span_id = 1;
   ctx.sampled = true;
-  return AttachTraceContext(frame, ctx);  // FLAG: key material in a trace id
+  return ExtendFrame(frame, ctx, false);  // FLAG: key material in a trace id
 }
